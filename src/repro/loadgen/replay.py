@@ -2,7 +2,7 @@
 
 Replays a :class:`~repro.loadgen.trace.Trace` against anything with the
 server front door — a :class:`~repro.serve.KernelServer` or a
-:class:`~repro.serve.supervisor.ShardSupervisor` (local pipe shards or TCP
+:class:`~repro.serve.supervisor.ShardSupervisor` (local or TCP
 ``--connect`` shards; the engine never cares which).  Per-request deadlines
 ride :meth:`submit`'s ``deadline_ms`` onto the wire, where a shard sheds
 late results; the engine additionally counts a *client-observed* miss for
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,86 +135,62 @@ class _Recorder:
             return tuple(self._outcomes)  # type: ignore[arg-type]
 
 
-def _settle(event, recorder, position, submitted_at, future, timeout_s) -> None:
-    """Wait for one future and classify its outcome."""
-    suite, index, tenant = event.suite, event.index, event.tenant
+def _classify(
+    event, submitted_at: float, completed_at: float, result=None, error=None, lost=False
+) -> RequestOutcome:
+    """One request's outcome from how it ended: a result, an error, or lost."""
+    latency_s = completed_at - submitted_at
+    ok = error is None and not lost
+    if lost:
+        error_name = "Timeout"
+    elif error is None or isinstance(error, DeadlineExceededError):
+        error_name = None
+    else:
+        error_name = type(error).__name__
+    return RequestOutcome(
+        suite=event.suite,
+        index=event.index,
+        submitted_at_s=submitted_at,
+        completed_at_s=completed_at,
+        latency_s=latency_s,
+        ok=ok,
+        warm=ok and bool(getattr(result, "warm", False)),
+        deadline_missed=isinstance(error, DeadlineExceededError)
+        or (ok and event.deadline_ms is not None and latency_s * 1000.0 > event.deadline_ms),
+        error=error_name,
+        lost=lost,
+        tenant=event.tenant,
+    )
+
+
+def _stamp(future, now) -> tuple:
+    """``(future, completion stamp, landed event)``; a done-callback stamps
+    the completion time the moment the future resolves."""
+    stamp: list[float] = []
+    landed = threading.Event()
+
+    def on_done(_future) -> None:
+        stamp.append(now())
+        landed.set()
+
+    future.add_done_callback(on_done)
+    return future, stamp, landed
+
+
+def _settle(event, submitted_at, stamped, timeout_s, now) -> RequestOutcome:
+    """Wait for one stamped future and classify its outcome.
+
+    Latency runs to the stamped completion, so settling futures late (the
+    open-loop path settles them after the last injection) never inflates it.
+    """
+    future, stamp, landed = stamped
+    if not landed.wait(timeout_s):
+        return _classify(event, submitted_at, now(), lost=True)
     try:
-        result = future.result(timeout=timeout_s)
-    except DeadlineExceededError:
-        completed = recorder.now()
-        recorder.record(
-            position,
-            RequestOutcome(
-                suite=suite,
-                index=index,
-                submitted_at_s=submitted_at,
-                completed_at_s=completed,
-                latency_s=completed - submitted_at,
-                ok=False,
-                warm=False,
-                deadline_missed=True,
-                error=None,
-                tenant=tenant,
-            ),
-        )
-        return
-    except (FutureTimeoutError, TimeoutError):
-        completed = recorder.now()
-        recorder.record(
-            position,
-            RequestOutcome(
-                suite=suite,
-                index=index,
-                submitted_at_s=submitted_at,
-                completed_at_s=completed,
-                latency_s=completed - submitted_at,
-                ok=False,
-                warm=False,
-                deadline_missed=False,
-                error="Timeout",
-                lost=True,
-                tenant=tenant,
-            ),
-        )
-        return
+        result = future.result()
     except BaseException as error:  # noqa: BLE001 - classified, not handled
-        completed = recorder.now()
-        recorder.record(
-            position,
-            RequestOutcome(
-                suite=suite,
-                index=index,
-                submitted_at_s=submitted_at,
-                completed_at_s=completed,
-                latency_s=completed - submitted_at,
-                ok=False,
-                warm=False,
-                deadline_missed=False,
-                error=type(error).__name__,
-                tenant=tenant,
-            ),
-        )
-        return
-    completed = recorder.now()
-    latency_s = completed - submitted_at
-    missed = (
-        event.deadline_ms is not None and latency_s * 1000.0 > event.deadline_ms
-    )
-    recorder.record(
-        position,
-        RequestOutcome(
-            suite=suite,
-            index=index,
-            submitted_at_s=submitted_at,
-            completed_at_s=completed,
-            latency_s=latency_s,
-            ok=True,
-            warm=bool(getattr(result, "warm", False)),
-            deadline_missed=missed,
-            error=None,
-            tenant=tenant,
-        ),
-    )
+        return _classify(event, submitted_at, stamp[0], error=error)
+    return _classify(event, submitted_at, stamp[0], result=result)
 
 
 def replay(
@@ -228,9 +203,12 @@ def replay(
 
     ``server`` is anything with the ``submit(request, deadline_ms=...)``
     front door.  Open-loop traces are injected on their fixed-rate schedule
-    from this thread (results settle in the background and are collected at
-    the end); closed-loop traces run ``trace.clients`` worker threads, each
-    submitting its next event as soon as the previous result settles.
+    from this thread, and each request is timed from its scheduled
+    ``at_ms`` — a generator or server that falls behind shows in the
+    latencies instead of hiding in a late send (results settle in the
+    background and are collected at the end).  Closed-loop traces run
+    ``trace.clients`` worker threads, each submitting its next event as
+    soon as the previous result settles.
     """
     if not trace.events:
         raise LoadGenError("cannot replay an empty trace")
@@ -240,15 +218,15 @@ def replay(
     recorder = _Recorder(started, len(events))
     fault_at_s: list[float] = []
 
-    def maybe_inject(position: int) -> None:
+    def maybe_inject(position: int, at: float) -> None:
         if fault is not None and position == fault_index:
-            fault_at_s.append(recorder.now())
+            fault_at_s.append(at)
             fault.action()
 
-    def submit(position: int):
-        """Submit one event; returns (submitted_at, future | None)."""
+    def submit(position: int, submitted_at: float):
+        """Submit one event; returns its stamped future, or ``None`` after
+        recording a synchronous refusal."""
         event = events[position]
-        submitted_at = recorder.now()
         # The tenant kwarg rides along only when the event names one, so
         # untenanted traces still replay against pre-tenant server stand-ins
         # (the same additive-field discipline the wire protocol follows).
@@ -266,22 +244,10 @@ def replay(
             # tenant over its admission quota) is an outcome, not a crash:
             # record it and keep replaying.
             recorder.record(
-                position,
-                RequestOutcome(
-                    suite=event.suite,
-                    index=event.index,
-                    submitted_at_s=submitted_at,
-                    completed_at_s=submitted_at,
-                    latency_s=0.0,
-                    ok=False,
-                    warm=False,
-                    deadline_missed=False,
-                    error=type(error).__name__,
-                    tenant=event.tenant,
-                ),
+                position, _classify(event, submitted_at, submitted_at, error=error)
             )
-            return submitted_at, None
-        return submitted_at, future
+            return None
+        return _stamp(future, recorder.now)
 
     if trace.arrival == ARRIVAL_CLOSED:
         positions = iter(range(len(events)))
@@ -295,16 +261,19 @@ def replay(
                         position = next(positions, None)
                         if position is None:
                             return
-                        maybe_inject(position)
-                    submitted_at, future = submit(position)
-                    if future is not None:
-                        _settle(
-                            events[position],
-                            recorder,
+                        maybe_inject(position, recorder.now())
+                    submitted_at = recorder.now()
+                    stamped = submit(position, submitted_at)
+                    if stamped is not None:
+                        recorder.record(
                             position,
-                            submitted_at,
-                            future,
-                            result_timeout_s,
+                            _settle(
+                                events[position],
+                                submitted_at,
+                                stamped,
+                                result_timeout_s,
+                                recorder.now,
+                            ),
                         )
             except BaseException as error:  # noqa: BLE001 - re-raised below
                 failures.append(error)
@@ -324,7 +293,7 @@ def replay(
             # the replay, not masquerade as a clean run with holes in it.
             raise failures[0]
     else:
-        in_flight: list[tuple[int, float, object]] = []
+        in_flight: list[tuple[int, float, tuple]] = []
         for position, event in enumerate(events):
             # Fixed-rate schedule: injection lag means the *cluster* fell
             # behind, never that the generator slowed down for it.
@@ -332,18 +301,16 @@ def replay(
             delay = target - recorder.now()
             if delay > 0:
                 time.sleep(delay)
-            maybe_inject(position)
-            submitted_at, future = submit(position)
-            if future is not None:
-                in_flight.append((position, submitted_at, future))
-        for position, submitted_at, future in in_flight:
-            _settle(
-                events[position],
-                recorder,
+            maybe_inject(position, target)
+            stamped = submit(position, target)
+            if stamped is not None:
+                in_flight.append((position, target, stamped))
+        for position, submitted_at, stamped in in_flight:
+            recorder.record(
                 position,
-                submitted_at,
-                future,
-                result_timeout_s,
+                _settle(
+                    events[position], submitted_at, stamped, result_timeout_s, recorder.now
+                ),
             )
 
     return ReplayResult(

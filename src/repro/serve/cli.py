@@ -127,17 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="with --connect: keep-alive connections per remote shard "
-        "(applies when the handshake negotiates protocol v2; default 2)",
-    )
-    parser.add_argument(
-        "--protocol",
-        type=int,
-        choices=(protocol.PROTOCOL_VERSION, protocol.PROTOCOL_VERSION_2),
-        default=protocol.MAX_PROTOCOL_VERSION,
-        metavar="V",
-        help="highest wire version to negotiate with shards (default "
-        f"{protocol.MAX_PROTOCOL_VERSION}; pass 1 to force JSON framing "
-        "during a mixed-version rollout)",
+        "(default 2)",
     )
     parser.add_argument(
         "--devices",
@@ -453,7 +443,6 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
         connect=_connect_addresses(args),
         remote_trust=args.trust,
         pool=args.pool,
-        max_protocol=args.protocol,
         tracer=_build_tracer(args),
     )
     endpoint = None
@@ -524,7 +513,6 @@ def _main_listen(args: argparse.Namespace) -> int:
             workers=args.workers,
             trust=args.trust,
             on_bound=announce,
-            max_protocol=args.protocol,
             metrics_port=args.metrics_port,
         )
     except KeyboardInterrupt:

@@ -178,8 +178,9 @@ class WireSnapshot:
     Attributes:
         messages_sent: request messages encoded and enqueued for shards.
         messages_received: reply messages decoded from shards.
-        flushes: socket/pipe flush operations that carried those messages
-            (coalescing shows up as ``messages_sent / flushes`` > 1).
+        flushes: socket flushes that carried those messages or
+            control-plane probes (coalescing shows up as
+            ``messages_sent / flushes`` > 1).
         bytes_sent: encoded request bytes handed to transports.
         bytes_received: reply bytes pulled off transports.
         encode_s: wall time spent in ``encode_message`` on the warm path.

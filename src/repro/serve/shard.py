@@ -1,6 +1,6 @@
 """Shard-side machinery: consistent-hash routing and the shard process loop.
 
-Two halves live here:
+Three parts live here:
 
 * :class:`ShardRouter` — maps a request's **(kernel-family fingerprint,
   device)** pair onto one of N shard ids with a consistent-hash ring.  Each
@@ -9,24 +9,27 @@ Two halves live here:
   other family keeps its shard, keeping their resident tables warm.  Routing
   is deterministic across processes and runs: any router built over the same
   shard ids makes identical decisions.
-* :func:`run_shard` — the shard process entry point: one
-  :class:`~repro.serve.KernelServer` wrapped in the wire protocol.  It reads
+* :func:`run_shard` — the local shard process entry point: one
+  :class:`~repro.serve.KernelServer` wrapped in the wire protocol on the
+  socketpair end its supervisor spawned it with.  It reads
   :class:`~repro.serve.protocol.ServeCall` / ``StatsCall`` / ``PingCall`` /
-  ``ShutdownCall`` messages from its supervisor pipe, dispatches serve calls
-  onto the server's worker pool, and writes replies back **as they
-  complete** (out of order; the ``request_id`` correlates them), so one slow
-  cold request never blocks a shard's warm traffic.
+  ``ShutdownCall`` messages, dispatches serve calls onto the server's
+  worker pool, and writes replies back **as they complete** (out of order;
+  the ``request_id`` correlates them), so one slow cold request never
+  blocks a shard's warm traffic.
 * :func:`serve_shard_tcp` — the same serve loop behind a TCP listener, for
   shards on other machines.  The listener accepts **concurrent supervisor
   connections** (one session thread each over the shared server — this is
-  what backs the supervisor's per-shard connection pool); every connection
-  starts with a :class:`~repro.serve.protocol.HelloCall` handshake that
-  negotiates the wire version (v1 JSON or v2 binary frames) and the
-  transport trust level (source-only by default: executable artifacts are
-  downgraded to source text and pickled payloads are rejected — see
-  ``docs/wire-protocol.md``).  When a supervisor disconnects, the shard
-  keeps its warm state and goes back to accepting, so a restarted
-  supervisor reconnects to a hot shard.
+  what backs the supervisor's per-shard connection pool).  When a
+  supervisor disconnects, the shard keeps its warm state and goes back to
+  accepting, so a restarted supervisor reconnects to a hot shard.
+
+Every session, local or remote, starts with a
+:class:`~repro.serve.protocol.HelloCall` handshake that negotiates the
+transport trust level (pickled for a spawned shard; source-only by default
+on a listener: executable artifacts are downgraded to source text — see
+``docs/wire-protocol.md``).  Trust only governs what a shard *sends*: a
+shard never unpickles what it receives.
 
 A shard owns its own :class:`~repro.tune.TuningDatabase` *replica* (its own
 file), so shards never contend on one database file during traffic; the
@@ -65,8 +68,8 @@ __all__ = ["ShardRouter", "run_shard", "serve_shard_tcp"]
 
 _LOG = logging.getLogger("repro.serve.shard")
 
-#: How long a fresh TCP connection may take to complete its handshake
-#: before the listener drops it and accepts the next supervisor.
+#: How long a fresh link may take to complete its handshake before the
+#: shard drops it.
 HANDSHAKE_TIMEOUT_S = 10.0
 
 #: Virtual nodes per shard on the hash ring.  More nodes smooth the key
@@ -224,21 +227,15 @@ def _serve_connection(
     shard_id: int,
     server: KernelServer,
     trusted: bool,
-    wire_version: int = protocol.PROTOCOL_VERSION,
 ) -> bool:
-    """Serve one supervisor connection until shutdown or disconnect.
+    """Serve one supervisor link until shutdown or disconnect.
 
-    The transport-agnostic message loop shared by the pipe and TCP shards:
-    ``connection`` is anything with the ``multiprocessing.Connection`` byte
-    API (a real pipe, or a :class:`~repro.serve.protocol.StreamConnection`
-    over a socket).  ``trusted`` is the transport's trust level: on an
-    untrusted (source-only) transport, incoming pickled payloads are
-    rejected at decode and every outgoing executable artifact is downgraded
-    to its source text (:func:`~repro.serve.protocol.source_only_result`).
-    ``wire_version`` is the *negotiated* protocol version replies are
-    encoded at (requests are decoded at whatever version they arrive in —
-    the magic disambiguates); pongs always go out as pre-encoded v1 bytes,
-    which every peer accepts.
+    ``connection`` is a :class:`~repro.serve.protocol.StreamConnection`.
+    Incoming frames are always decoded with ``allow_pickled=False``: a
+    shard never unpickles what it receives.  ``trusted`` is the link's
+    granted trust and governs only what the shard sends: on a source-only
+    link every outgoing executable artifact is downgraded to its source
+    text (:func:`~repro.serve.protocol.source_only_result`).
 
     Returns ``True`` if a :class:`~repro.serve.protocol.ShutdownCall` asked
     the shard to exit, ``False`` if the supervisor merely went away (EOF or
@@ -254,7 +251,7 @@ def _serve_connection(
                 pass  # supervisor is gone; the loop will see EOF and exit
 
     def reply(message: protocol.Message) -> None:
-        reply_bytes(protocol.encode_message(message, version=wire_version))
+        reply_bytes(protocol.encode_message(message))
 
     def finish(request_id: int, future, trace=None, deadline_at=None) -> None:
         try:
@@ -278,7 +275,7 @@ def _serve_connection(
             reply(message)
             return
         encode_started = time.perf_counter()
-        data = protocol.encode_message(message, version=wire_version)
+        data = protocol.encode_message(message)
         encode_s = time.perf_counter() - encode_started
         trace.record(
             "wire.encode",
@@ -308,7 +305,7 @@ def _serve_connection(
             return False
         decode_started = time.perf_counter()
         try:
-            message = protocol.decode_message(data, allow_pickled=trusted)
+            message = protocol.decode_message(data)
         except ProtocolError as error:
             reply(protocol.ErrorReply.from_exception(-1, error))
             continue
@@ -367,8 +364,10 @@ def _serve_connection(
                 )
             )
         elif isinstance(message, protocol.PingCall):
-            reply_bytes(
-                protocol.encode_pong(message.request_id, shard_id, os.getpid())
+            reply(
+                protocol.PongReply(
+                    request_id=message.request_id, shard_id=shard_id, pid=os.getpid()
+                )
             )
         elif isinstance(message, protocol.ControlCall):
             # Warmup/invalidation can take seconds (they compile kernels), so
@@ -409,68 +408,46 @@ def _serve_connection(
 
 
 def run_shard(
-    connection,
+    sock,
     shard_id: int,
     devices: tuple[str, ...],
     db_path=None,
     workers: int = 4,
 ) -> None:
-    """The shard process main loop (the supervisor's spawn target).
+    """The local shard process main loop (the supervisor's spawn target).
 
-    Owns one :class:`KernelServer` over this shard's device subset and its
-    own tuning-database replica at ``db_path`` (``None`` keeps it in
-    memory).  A replica torn by a crashed writer must not crash-loop the
-    shard: an unreadable file is quarantined (renamed ``*.corrupt``) and the
-    shard starts over with an empty replica — the same "corrupt replicas are
-    skippable" stance reconciliation takes.  Serve calls run on the server's
-    worker pool and reply through ``connection`` as they complete; stats and
-    ping calls answer inline.  A
+    ``sock`` is this process's end of the socketpair the supervisor
+    spawned it with.  Owns one :class:`KernelServer` over this shard's
+    device subset and its own tuning-database replica at ``db_path``
+    (``None`` keeps it in memory).  A replica torn by a crashed writer must
+    not crash-loop the shard: an unreadable file is quarantined (renamed
+    ``*.corrupt``) and the shard starts over with an empty replica — the
+    same "corrupt replicas are skippable" stance reconciliation takes.
+
+    The server is built *before* the hello is answered, so the supervisor's
+    liveness deadline never counts start-up.  The supervisor spawned this
+    very process, so the link may be granted pickled trust: executable
+    artifacts cross as pickles.  A
     :class:`~repro.serve.protocol.ShutdownCall` — or the supervisor closing
-    its end of the pipe — drains the server and exits.
-
-    The pipe transport is fully trusted (the supervisor spawned this very
-    process), so executable artifacts cross as pickles — and since both
-    ends are by construction the same build, replies use the newest wire
-    version outright (v2 binary frames skip the pickle→base64 inflation).
+    its end — drains the server and exits.
     """
-    db = _open_replica(db_path)
-    server = KernelServer(db=db, devices=devices, workers=workers)
+    connection = protocol.StreamConnection(sock)
+    server = KernelServer(db=_open_replica(db_path), devices=devices, workers=workers)
     try:
-        _serve_connection(
-            connection,
-            shard_id,
-            server,
-            trusted=True,
-            wire_version=protocol.MAX_PROTOCOL_VERSION,
-        )
+        _serve_session(connection, shard_id, server, protocol.TRUST_PICKLED)
     finally:
         server.close()
-        try:
-            connection.close()
-        except OSError:
-            pass
+        connection.close()
 
 
-def _accept_handshake(
-    connection,
-    default_shard_id: int,
-    trust_policy: str,
-    max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
-):
-    """Validate a fresh connection's hello.
-
-    Returns ``(session shard id, granted trust, negotiated wire version)``.
+def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
+    """Validate a fresh link's hello; returns ``(session shard id, granted trust)``.
 
     The first frame must be a :class:`~repro.serve.protocol.HelloCall`
-    pinning the v1 base protocol; anything else — a stale supervisor, a
-    port scanner, a version-skewed build — is refused with a best-effort
-    :class:`~repro.serve.protocol.ErrorReply` and a
-    :class:`~repro.errors.ProtocolError` here (the caller drops the
-    connection and keeps listening).  The granted trust is the weaker of
-    the supervisor's request and this listener's policy; the wire version
-    is the *lower* of the peers' maxima (a hello from a build that predates
-    ``max_protocol`` simply negotiates v1), so mixed clusters keep working.
-    The hello exchange itself is always v1-encoded.
+    pinning :data:`~repro.serve.protocol.PROTOCOL_VERSION`; anything else —
+    a stale supervisor, a port scanner, a version-skewed build — raises
+    :class:`~repro.errors.ProtocolError` here.  The granted trust is the
+    weaker of the supervisor's request and this shard's policy.
     """
     message = protocol.decode_message(connection.recv_bytes())
     if not isinstance(message, protocol.HelloCall):
@@ -483,9 +460,6 @@ def _accept_handshake(
             f"this shard speaks {protocol.PROTOCOL_VERSION}"
         )
     granted = protocol.negotiate_trust(message.trust, trust_policy)
-    wire_version = protocol.negotiate_version(
-        max_protocol, getattr(message, "max_protocol", 1)
-    )
     shard_id = message.shard_id if message.shard_id >= 0 else default_shard_id
     connection.send_bytes(
         protocol.encode_message(
@@ -495,11 +469,39 @@ def _accept_handshake(
                 pid=os.getpid(),
                 protocol_version=protocol.PROTOCOL_VERSION,
                 trust=granted,
-                max_protocol=max_protocol,
             )
         )
     )
-    return shard_id, granted, wire_version
+    return shard_id, granted
+
+
+def _serve_session(connection, shard_id: int, server: KernelServer, trust_policy: str) -> bool:
+    """Handshake a fresh link within :data:`HANDSHAKE_TIMEOUT_S`, then serve it.
+
+    A refused handshake gets a best-effort
+    :class:`~repro.serve.protocol.ErrorReply` and ends only this session.
+    Returns what :func:`_serve_connection` returns (``False`` when the
+    handshake failed).
+    """
+    try:
+        connection.settimeout(HANDSHAKE_TIMEOUT_S)
+        session_id, granted = _accept_handshake(connection, shard_id, trust_policy)
+        connection.settimeout(None)
+    except ProtocolError as error:
+        _LOG.warning("shard %d refused a handshake: %s", shard_id, error)
+        try:
+            connection.send_bytes(
+                protocol.encode_message(protocol.ErrorReply.from_exception(-1, error))
+            )
+        except (OSError, ValueError):
+            pass
+        return False
+    except (EOFError, OSError):
+        return False
+    _LOG.info("shard %d accepted a supervisor session (trust %s)", session_id, granted)
+    return _serve_connection(
+        connection, session_id, server, trusted=granted == protocol.TRUST_PICKLED
+    )
 
 
 def serve_shard_tcp(
@@ -511,7 +513,6 @@ def serve_shard_tcp(
     workers: int = 4,
     trust: str = protocol.TRUST_SOURCE,
     on_bound=None,
-    max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
     metrics_port: int | None = None,
 ) -> None:
     """Serve one shard over a TCP listener (the ``--listen`` entry point).
@@ -520,11 +521,10 @@ def serve_shard_tcp(
     ``db_path``) lives for the whole listener lifetime, so its resident
     table and kernel cache stay warm across supervisor reconnects.  The
     listener accepts **concurrent supervisor connections** — each runs its
-    own session thread over the shared server, which is what lets a v2
+    own session thread over the shared server, which is what lets a
     supervisor keep a small connection pool per shard.  Each accepted
     socket must complete a :func:`handshake <_accept_handshake>` within
-    :data:`HANDSHAKE_TIMEOUT_S` (pinning the v1 base protocol, negotiating
-    the wire version up to ``max_protocol``, adopting the
+    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version, adopting the
     supervisor-assigned ring id, and negotiating trust — ``trust`` is the
     most this listener's operator allows, :data:`~repro.serve.protocol.TRUST_SOURCE`
     by default so cross-machine serving never ships executable pickles).
@@ -589,40 +589,7 @@ def serve_shard_tcp(
             pass
 
     def session(connection) -> None:
-        try:
-            connection.settimeout(HANDSHAKE_TIMEOUT_S)
-            session_id, granted, wire_version = _accept_handshake(
-                connection, shard_id, trust, max_protocol
-            )
-            connection.settimeout(None)
-            _LOG.info(
-                "shard %d accepted a supervisor session (trust %s, wire v%d)",
-                session_id,
-                granted,
-                wire_version,
-            )
-        except ProtocolError as error:
-            _LOG.warning("shard %d refused a handshake: %s", shard_id, error)
-            try:
-                connection.send_bytes(
-                    protocol.encode_message(
-                        protocol.ErrorReply.from_exception(-1, error)
-                    )
-                )
-            except (OSError, ValueError):
-                pass
-            connection.close()
-            return
-        except (EOFError, OSError):
-            connection.close()
-            return
-        asked_to_stop = _serve_connection(
-            connection,
-            session_id,
-            server,
-            trusted=granted == protocol.TRUST_PICKLED,
-            wire_version=wire_version,
-        )
+        asked_to_stop = _serve_session(connection, shard_id, server, trust)
         connection.close()
         if asked_to_stop:
             # Unblock the accept loop; it tears everything else down.

@@ -7,37 +7,36 @@ server (``submit()`` returning a future, blocking ``serve()``, and a
 :class:`~repro.serve.client.ServedBlasEngine` work against a supervisor
 unchanged):
 
-* **Spawning** — each local shard is a real OS process running
-  :func:`~repro.serve.shard.run_shard` over a ``multiprocessing`` pipe,
-  owning its device subset and its own tuning-database *replica* file
-  (:func:`~repro.tune.reconcile.replica_path`), so shards share nothing at
-  runtime.
-* **Remote shards** — ``connect=("host:port", ...)`` adds shards served by
-  :func:`~repro.serve.shard.serve_shard_tcp` listeners (other machines, or
-  just other processes) to the same ring.  Each connection starts with a
-  handshake that pins the protocol version and negotiates transport trust
-  (source-only by default: no executable pickles cross machines).  Remote
-  shards are *connected to*, never spawned: liveness is a ping deadline
-  instead of process aliveness, a disconnect removes the shard from the
-  ring (its keys rebalance to ring successors) and re-routes its pending
-  work, and the monitor re-dials with the same backoff schedule a local
-  respawn uses, re-adding the shard to the ring on success.
+* **Shards** — a local shard is a real OS process running
+  :func:`~repro.serve.shard.run_shard` on one end of a
+  ``socket.socketpair()``, owning its device subset and its own
+  tuning-database *replica* file (:func:`~repro.tune.reconcile.replica_path`),
+  so shards share nothing at runtime.  ``connect=("host:port", ...)`` adds
+  shards served by :func:`~repro.serve.shard.serve_shard_tcp` listeners
+  (other machines, or just other processes) to the same ring.  Every link,
+  local or remote, is a :class:`~repro.serve.protocol.StreamConnection`
+  that opens with the same hello: it pins the protocol version, assigns
+  the ring id, and negotiates transport trust (pickled for spawned shards,
+  source-only by default for remote ones: no executable pickles cross
+  machines).
 * **Routing** — a :class:`~repro.serve.shard.ShardRouter` consistent-hashes
   each request's (kernel-family fingerprint, device) onto a shard; all
   traffic for one family lands on one shard and enjoys its resident table
   and in-flight dedup.
-* **The fast wire** — each shard connection is a :class:`_Link` whose
-  sender thread coalesces every call queued since its last flush into one
-  write (out-of-order replies already correlate by ``request_id``, so
-  batching the write path changes no semantics).  Remote sessions that
-  negotiate protocol v2 in the handshake get a small keep-alive connection
-  *pool* per shard and binary artifact frames on replies; wire-path costs
-  (encode/decode/route/flush time, bytes, messages-per-flush) are profiled
-  into :attr:`ClusterStats.wire`.
-* **Monitoring & restart** — a monitor thread watches shard liveness; a
-  dead shard's pending requests are re-routed to its ring successors
-  (rebalance-on-shard-loss) and the shard is respawned over the same
-  replica file, re-joining the ring once alive.  Respawns follow
+* **The fast wire** — each link is a :class:`_Link` whose sender thread
+  coalesces every call queued since its last flush into one write
+  (out-of-order replies already correlate by ``request_id``, so batching
+  the write path changes no semantics).  Remote shards get a small
+  keep-alive connection *pool*; wire-path costs (encode/decode/route/flush
+  time, bytes, messages-per-flush) are profiled into
+  :attr:`ClusterStats.wire`.
+* **Liveness & recovery** — every link pings its shard every
+  :data:`_PING_INTERVAL_S`; a shard is live while its readers run and its
+  last pong is younger than :data:`_PING_TIMEOUT_S`.  The monitor recovers
+  a shard that is not: it leaves the ring (its keys rebalance to ring
+  successors), its pending requests re-route, and it is restored — a local
+  process killed and respawned over the same replica file, a remote
+  address re-dialed — before it re-joins the ring.  Restores follow
   :func:`_restart_backoff`: the first attempt is immediate, later ones
   back off exponentially.
 * **Aggregation** — :meth:`ShardSupervisor.stats` asks every live shard for
@@ -92,22 +91,26 @@ _MONITOR_INTERVAL_S = 0.2
 #: How long close() waits for a shard to drain before terminating it.
 _SHUTDOWN_GRACE_S = 30.0
 
-#: Restart backoff bounds: the first respawn is immediate; a shard that
-#: keeps dying (a crash at startup, say) is respawned at an exponentially
+#: Restart backoff bounds: the first restore is immediate; a shard that
+#: keeps dying (a crash at startup, say) is restored at an exponentially
 #: decaying rate capped here, never in a tight loop.
 _RESTART_BACKOFF_MAX_S = 30.0
 
-#: How often the monitor pings a connected remote shard...
+#: How often every link pings its shard...
 _PING_INTERVAL_S = 2.0
 
-#: ...and how stale its last pong may get before the connection is declared
+#: ...and how stale the shard's last pong may get before it is declared
 #: dead (the socket may still look open — a remote power loss leaves no
-#: FIN — so liveness must come from the ping deadline, not the file
-#: descriptor).
+#: FIN, a stopped local process never closes its end — so liveness must
+#: come from the ping deadline, not the file descriptor).
 _PING_TIMEOUT_S = 10.0
 
 #: How long one TCP connect + handshake attempt to a remote shard may take.
 _CONNECT_ATTEMPT_TIMEOUT_S = 5.0
+
+#: How long a spawned local shard may take to start, build its server and
+#: answer the hello.
+_SPAWN_TIMEOUT_S = 60.0
 
 
 def _restart_backoff(attempt: int) -> float:
@@ -306,18 +309,16 @@ def aggregate_stats(
 
 
 class _Link:
-    """One transport connection to a shard, with its coalescing outbox.
+    """One connection to a shard, with its coalescing outbox.
 
     Every link owns a sender thread (draining :attr:`outbox` in whole
-    batches — the writev-style single flush) and a reader thread; direct
-    control-plane sends (pings, probes, shutdown) take :attr:`send_lock`,
-    the same lock the sender holds per flush, so a connection only ever
-    sees whole frames.
+    batches — the writev-style single flush — and adding a ping every
+    :data:`_PING_INTERVAL_S`) and a reader thread.  Every frame goes
+    through the outbox, so the sender is the connection's only writer.
     """
 
     def __init__(self, connection) -> None:
         self.connection = connection
-        self.send_lock = threading.Lock()
         self.outbox: deque[bytes] = deque()
         self.wakeup = threading.Condition()
         self.closed = False
@@ -344,11 +345,23 @@ class _Link:
 
 
 class _ShardHandle:
-    """One local shard process: its pipe link, pending futures, reader."""
+    """One shard: its links, pending futures, and how to restore it.
 
-    def __init__(self, shard_id: int, devices: tuple[str, ...]) -> None:
+    A local shard has the ``process`` this supervisor spawned; a remote
+    shard has the ``address`` of its listener.  Either way the shard is
+    live while its link readers run and its last pong (or hello reply) is
+    younger than :data:`_PING_TIMEOUT_S`.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        devices: tuple[str, ...],
+        address: tuple[str, int] | None = None,
+    ) -> None:
         self.shard_id = shard_id
         self.devices = devices
+        self.address = address
         self.process = None
         self.links: list[_Link] = []
         # request_id -> (tenant, request, future, trace handle, deadline_ms);
@@ -367,23 +380,17 @@ class _ShardHandle:
         ] = {}
         self.pending_lock = threading.Lock()
         self.restarts = 0
-        self.next_restart_at = 0.0  # monotonic; 0.0 = respawn immediately
-        self.trusted = True  # pipes connect processes we spawned ourselves
-        self.wire_version = protocol.MAX_PROTOCOL_VERSION  # pipes: same build
+        self.next_restart_at = 0.0  # monotonic; 0.0 = restore immediately
+        self.trusted = False  # until a handshake grants pickled trust
+        self.reader_done = True  # no link yet
+        self.last_pong = 0.0
         self._round_robin = 0
-        self._no_link_lock = threading.Lock()
 
     @property
     def connection(self):
-        """The primary link's transport (kept for probes and tests)."""
+        """The primary link's transport (``None`` while the shard is down)."""
         links = self.links
         return links[0].connection if links else None
-
-    @property
-    def send_lock(self) -> threading.Lock:
-        """The primary link's write lock (control-plane direct sends)."""
-        links = self.links
-        return links[0].send_lock if links else self._no_link_lock
 
     def enqueue(self, data: bytes) -> None:
         """Queue a frame on the next pool link, round-robin."""
@@ -400,38 +407,16 @@ class _ShardHandle:
             link.close()
 
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return (
+            bool(self.links)
+            and not self.reader_done
+            and time.monotonic() - self.last_pong <= _PING_TIMEOUT_S
+        )
 
     def take_pending(self) -> dict:
         with self.pending_lock:
             taken, self.pending = self.pending, {}
             return taken
-
-
-class _RemoteShardHandle(_ShardHandle):
-    """One remote TCP shard: its socket, trust level, and ping deadline.
-
-    Remote shards are never spawned or restarted — the supervisor only
-    holds a connection to a :func:`~repro.serve.shard.serve_shard_tcp`
-    listener it was pointed at.  ``alive()`` is therefore *connection*
-    liveness (the reader thread still draining frames); staleness beyond
-    the ping deadline is enforced by the monitor, which poisons the
-    connection so the reader exits and recovery runs.
-    """
-
-    def __init__(
-        self, shard_id: int, devices: tuple[str, ...], address: tuple[str, int]
-    ) -> None:
-        super().__init__(shard_id, devices)
-        self.address = address
-        self.trusted = False  # until the handshake says otherwise
-        self.wire_version = protocol.PROTOCOL_VERSION  # until negotiated up
-        self.reader_done = True  # not yet connected
-        self.last_pong = 0.0
-        self.last_ping_sent = 0.0
-
-    def alive(self) -> bool:
-        return self.connection is not None and not self.reader_done
 
 
 def _parse_address(address) -> tuple[str, int]:
@@ -472,8 +457,8 @@ class ShardSupervisor:
             disjoint subset, and routing only considers shards owning the
             request's device.  Remote shards always serve all devices.
         workers: worker threads per local shard.
-        restart: respawn dead local shards and re-dial dead remote shards
-            (on by default).
+        restart: restore dead shards — respawn local ones, re-dial remote
+            ones (on by default).
         virtual_nodes: consistent-hash ring points per shard.
         connect: remote shard addresses (``"host:port"`` strings or
             ``(host, port)`` pairs), each a
@@ -488,17 +473,9 @@ class ShardSupervisor:
         connect_timeout: how long to keep re-trying the initial connection
             to each remote shard before failing construction (listeners are
             often still starting when the supervisor comes up).
-        pool: keep-alive connections per remote shard.  Pools beyond the
-            first connection are only dialed when the handshake negotiated
-            protocol v2 (a v1-era listener serves one connection at a
-            time, so pooling against it would wedge); extra dials are
-            best-effort — a shard that grants fewer connections still
-            serves over the ones it granted.
-        max_protocol: the highest wire version this supervisor will
-            negotiate (default: the build's
-            :data:`~repro.serve.protocol.MAX_PROTOCOL_VERSION`; pass 1 to
-            force v1 JSON framing everywhere, e.g. while a mixed-version
-            rollout completes).
+        pool: keep-alive connections per remote shard.  Extra dials beyond
+            the first are best-effort — a shard that grants fewer
+            connections still serves over the ones it granted.
         tracer: the :class:`~repro.obs.trace.Tracer` sampling and retaining
             this supervisor's request traces.  Sampled requests carry their
             trace context to shards in the envelope's additive ``trace``
@@ -531,7 +508,6 @@ class ShardSupervisor:
         remote_trust: str = protocol.TRUST_SOURCE,
         connect_timeout: float = 10.0,
         pool: int = 2,
-        max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
         tracer: tracing.Tracer | None = None,
         tenants: tuple = (),
     ) -> None:
@@ -550,23 +526,18 @@ class ShardSupervisor:
             raise ServingError(f"unknown remote trust level {remote_trust!r}")
         if pool < 1:
             raise ServingError(f"connection pool size must be positive, got {pool}")
-        if not 1 <= max_protocol <= protocol.MAX_PROTOCOL_VERSION:
-            raise ServingError(
-                f"max_protocol must be between 1 and "
-                f"{protocol.MAX_PROTOCOL_VERSION}, got {max_protocol}"
-            )
         self.devices = tuple(devices)
         self.db_path = Path(db) if db is not None else None
         self.workers = workers
         self.restart = restart
         self._remote_trust = remote_trust
         self._pool = pool
-        self._max_protocol = max_protocol
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
         self._wire = WireProfile()
         self._context = _spawn_context()
         self._closed = False
+        self._stopping = threading.Event()  # wakes the monitor on close()
         self._lock = threading.RLock()
         self._request_ids = itertools.count(1)
         self._routed: dict[int, int] = {}  # shard_id -> requests routed there
@@ -586,22 +557,28 @@ class ShardSupervisor:
         # always serve the full device set (their hardware is their own).
         for offset, address in enumerate(addresses):
             shard_id = shards + offset
-            self._handles[shard_id] = _RemoteShardHandle(
-                shard_id, self.devices, address
-            )
+            self._handles[shard_id] = _ShardHandle(shard_id, self.devices, address)
         self.router = ShardRouter(self._handles, virtual_nodes=virtual_nodes)
+        spawned = {}
         try:
+            # Spawn every local shard before handshaking any, so their
+            # start-ups overlap.
             for handle in self._handles.values():
-                if isinstance(handle, _RemoteShardHandle):
-                    self._connect_remote_until(handle, timeout=connect_timeout)
+                if handle.address is None:
+                    spawned[handle.shard_id] = self._spawn(handle)
+            for handle in self._handles.values():
+                if handle.address is None:
+                    self._open_local(handle, spawned[handle.shard_id])
                 else:
-                    self._start_shard(handle)
+                    self._connect_remote_until(handle, timeout=connect_timeout)
         except BaseException:
             self._closed = True
             for handle in self._handles.values():
                 if handle.process is not None:
                     handle.process.terminate()
                 handle.drop_links()
+            for connection in spawned.values():
+                connection.close()
             raise
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-shard-monitor", daemon=True
@@ -616,8 +593,9 @@ class ShardSupervisor:
             return None
         return replica_path(self.db_path, shard_id)
 
-    def _start_shard(self, handle: _ShardHandle) -> None:
-        parent, child = self._context.Pipe()
+    def _spawn(self, handle: _ShardHandle) -> protocol.StreamConnection:
+        """Start a local shard process on one end of a fresh socketpair."""
+        parent, child = socket.socketpair()
         process = self._context.Process(
             target=run_shard,
             args=(child, handle.shard_id, handle.devices),
@@ -628,76 +606,172 @@ class ShardSupervisor:
             name=f"repro-shard-{handle.shard_id}",
             daemon=True,
         )
-        process.start()
-        child.close()
+        try:
+            process.start()
+        finally:
+            child.close()
         handle.process = process
-        self._attach_link(handle, parent)
+        return protocol.StreamConnection(parent)
 
-    def _attach_link(self, handle: _ShardHandle, connection) -> _Link:
-        """Wrap a connected transport in a link with sender/reader threads."""
-        link = _Link(connection)
-        handle.links.append(link)
-        link.sender = threading.Thread(
-            target=self._send_loop,
-            args=(link,),
-            name=f"repro-shard-{handle.shard_id}-sender",
-            daemon=True,
-        )
-        link.reader = threading.Thread(
-            target=self._read_loop,
-            args=(handle, link),
-            name=f"repro-shard-{handle.shard_id}-reader",
-            daemon=True,
-        )
-        link.sender.start()
-        link.reader.start()
-        return link
+    def _open_local(self, handle: _ShardHandle, connection) -> None:
+        """Handshake a spawned shard's link and attach it."""
+        try:
+            granted = self._handshake(
+                handle, connection, protocol.TRUST_PICKLED, _SPAWN_TIMEOUT_S
+            )
+        except OSError as error:
+            raise ServingError(
+                f"shard {handle.shard_id} did not answer its hello: {error}"
+            ) from error
+        self._attach(handle, [connection], granted)
 
-    def _send_loop(self, link: _Link) -> None:
+    def _attach(self, handle: _ShardHandle, connections, granted: str) -> None:
+        """Make handshaken connections the shard's links, with their threads.
+
+        The liveness deadline starts here, at the shard's first answer, so
+        a slow start-up never counts against it.
+        """
+        handle.trusted = granted == protocol.TRUST_PICKLED
+        handle.reader_done = False
+        handle.last_pong = time.monotonic()
+        links = [_Link(connection) for connection in connections]
+        handle.links = links
+        for link in links:
+            link.sender = threading.Thread(
+                target=self._send_loop,
+                args=(handle, link),
+                name=f"repro-shard-{handle.shard_id}-sender",
+                daemon=True,
+            )
+            link.reader = threading.Thread(
+                target=self._read_loop,
+                args=(handle, link),
+                name=f"repro-shard-{handle.shard_id}-reader",
+                daemon=True,
+            )
+            link.sender.start()
+            link.reader.start()
+
+    def _send_loop(self, handle: _ShardHandle, link: _Link) -> None:
         """Drain a link's outbox in whole batches — the coalescing flush.
 
         Every wakeup takes *everything* queued since the last flush and
-        writes it in one buffered flush (``send_many`` on sockets — one
-        syscall burst per batch — or a ``send_bytes`` run on pipes), so N
-        pending calls cost one flush instead of N.  A write failure poisons
-        the connection; the reader sees EOF and the monitor re-routes the
-        pending work, exactly as for a send failure on the old direct path.
+        writes it with one ``send_many`` (one syscall burst per batch), so
+        N pending calls cost one flush instead of N.  A ping rides along
+        every :data:`_PING_INTERVAL_S`, so a shard's liveness deadline never
+        depends on the monitor thread.  A write failure poisons the
+        connection; the reader sees EOF and the monitor re-routes the
+        pending work.
         """
         connection = link.connection
-        send_many = getattr(connection, "send_many", None)
+        next_ping = time.monotonic() + _PING_INTERVAL_S
         while True:
             with link.wakeup:
                 while not link.outbox and not link.closed:
-                    link.wakeup.wait()
+                    remaining = next_ping - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    link.wakeup.wait(remaining)
                 if not link.outbox and link.closed:
                     return
                 batch = list(link.outbox)
                 link.outbox.clear()
+            calls = len(batch)
+            now = time.monotonic()
+            if now >= next_ping:
+                batch.append(self._ping(handle))
+                next_ping = now + _PING_INTERVAL_S
             started = time.perf_counter()
             try:
-                with link.send_lock:
-                    if send_many is not None:
-                        send_many(batch)
-                    else:
-                        for data in batch:
-                            connection.send_bytes(data)
+                connection.send_many(batch)
             except (OSError, ValueError):
                 self._poison(connection)
                 return
-            self._wire.record_flush(time.perf_counter() - started)
+            if calls:
+                self._wire.record_flush(time.perf_counter() - started)
 
-    # -- remote connections -------------------------------------------------
+    def _ping(self, handle: _ShardHandle) -> bytes:
+        """One encoded ping whose pong refreshes the shard's deadline."""
+        request_id = next(self._request_ids)
+        future: Future = Future()
 
-    def _connect_remote_until(
-        self, handle: _RemoteShardHandle, timeout: float
-    ) -> None:
+        def pong_received(completed: Future) -> None:
+            if not completed.cancelled() and completed.exception() is None:
+                handle.last_pong = time.monotonic()
+
+        future.add_done_callback(pong_received)
+        with handle.pending_lock:
+            handle.pending[request_id] = (None, None, future, None, None)
+        return protocol.encode_message(protocol.PingCall(request_id=request_id))
+
+    # -- handshakes -----------------------------------------------------------
+
+    def _handshake(
+        self, handle: _ShardHandle, connection, trust: str, timeout: float
+    ) -> str:
+        """Send the hello on a fresh link; returns the granted trust level.
+
+        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION`,
+        assigns the shard its ring id for this session, and requests
+        ``trust``.  The reply's granted trust is a *claim* by the peer, so
+        it is capped at what was requested: a malicious listener "granting"
+        pickled on a source-only link cannot make us unpickle its payloads.
+        A refused or malformed handshake closes the link and raises
+        :class:`~repro.errors.ServingError`; a transport failure closes it
+        and re-raises the ``OSError``.
+        """
+        try:
+            connection.settimeout(timeout)
+            connection.send_bytes(
+                protocol.encode_message(
+                    protocol.HelloCall(
+                        request_id=next(self._request_ids),
+                        protocol_version=protocol.PROTOCOL_VERSION,
+                        shard_id=handle.shard_id,
+                        trust=trust,
+                    )
+                )
+            )
+            reply = protocol.decode_message(connection.recv_bytes())
+            connection.settimeout(None)
+        except (EOFError, ProtocolError) as error:
+            connection.close()
+            raise ServingError(f"shard handshake failed: {error}") from error
+        except OSError:
+            connection.close()
+            raise
+        if isinstance(reply, protocol.ErrorReply):
+            connection.close()
+            raise ServingError(f"shard refused the handshake: {reply.message}")
+        if not isinstance(reply, protocol.HelloReply):
+            connection.close()
+            raise ServingError(f"shard answered the hello with {type(reply).__name__}")
+        if reply.protocol_version != protocol.PROTOCOL_VERSION:
+            connection.close()
+            raise ServingError(
+                f"shard speaks protocol {reply.protocol_version}, "
+                f"this supervisor speaks {protocol.PROTOCOL_VERSION}"
+            )
+        return protocol.negotiate_trust(trust, reply.trust)
+
+    def _dial(self, handle: _ShardHandle):
+        """One TCP connect + hello to a remote shard: ``(link, granted)``."""
+        sock = socket.create_connection(
+            handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
+        )
+        connection = protocol.StreamConnection(sock)
+        granted = self._handshake(
+            handle, connection, self._remote_trust, _CONNECT_ATTEMPT_TIMEOUT_S
+        )
+        return connection, granted
+
+    def _connect_remote_until(self, handle: _ShardHandle, timeout: float) -> None:
         """Dial a remote shard, retrying until ``timeout`` (startup races).
 
-        Only connection-level failures (``OSError``: refused, timed out, a
-        listener busy with another supervisor) are worth retrying; a
-        *completed but refused* handshake — a protocol version skew, a
-        malformed reply — is deterministic and fails construction
-        immediately instead of burning the whole timeout on it.
+        Only connection-level failures (``OSError``: refused, timed out)
+        are worth retrying; a *completed but refused* handshake — a protocol
+        version skew, a malformed reply — is deterministic and fails
+        construction immediately instead of burning the whole timeout on it.
         """
         deadline = time.monotonic() + timeout
         host, port = handle.address
@@ -718,104 +792,26 @@ class ShardSupervisor:
                     ) from error
                 time.sleep(0.2)
 
-    def _handshake_remote(self, handle: _RemoteShardHandle):
-        """One connect + hello exchange; raises on any failure.
-
-        Returns ``(connection, granted trust, negotiated wire version)``.
-        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION` (the
-        base framing the handshake itself uses), advertises this
-        supervisor's ``max_protocol``, assigns the shard its ring id for
-        this session, and requests ``remote_trust``; the reply's *granted*
-        trust governs whether results on this connection may carry
-        executable pickles, and the reply's ``max_protocol`` (absent on a
-        v1-era peer, hence defaulted to 1) caps the wire version replies
-        are framed at.
-        """
-        sock = socket.create_connection(
-            handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
-        )
-        connection = protocol.StreamConnection(sock)
-        try:
-            request_id = next(self._request_ids)
-            connection.send_bytes(
-                protocol.encode_message(
-                    protocol.HelloCall(
-                        request_id=request_id,
-                        protocol_version=protocol.PROTOCOL_VERSION,
-                        shard_id=handle.shard_id,
-                        trust=self._remote_trust,
-                        max_protocol=self._max_protocol,
-                    )
-                )
-            )
-            reply = protocol.decode_message(connection.recv_bytes())
-        except (EOFError, ProtocolError) as error:
-            connection.close()
-            raise ServingError(f"remote shard handshake failed: {error}") from error
-        except OSError:
-            connection.close()
-            raise
-        if isinstance(reply, protocol.ErrorReply):
-            connection.close()
-            raise ServingError(f"remote shard refused the handshake: {reply.message}")
-        if not isinstance(reply, protocol.HelloReply):
-            connection.close()
-            raise ServingError(
-                f"remote shard answered the hello with {type(reply).__name__}"
-            )
-        if reply.protocol_version != protocol.PROTOCOL_VERSION:
-            connection.close()
-            raise ServingError(
-                f"remote shard speaks protocol {reply.protocol_version}, "
-                f"this supervisor speaks {protocol.PROTOCOL_VERSION}"
-            )
-        connection.settimeout(None)
-        # The reply's granted trust is a *claim* by the peer: cap it at what
-        # we requested ourselves, so a malicious listener "granting" pickled
-        # on a source-only connection cannot make us unpickle its payloads.
-        granted = protocol.negotiate_trust(self._remote_trust, reply.trust)
-        # Same stance for the wire version: never negotiate above our own
-        # maximum, whatever the peer advertises.
-        try:
-            negotiated = protocol.negotiate_version(
-                self._max_protocol, getattr(reply, "max_protocol", 1)
-            )
-        except ProtocolError as error:
-            connection.close()
-            raise ServingError(str(error)) from error
-        return connection, granted, negotiated
-
-    def _connect_remote(self, handle: _RemoteShardHandle) -> None:
+    def _connect_remote(self, handle: _ShardHandle) -> None:
         """Establish a remote shard's link pool; raises on primary failure.
 
-        The primary connection's handshake decides the session's trust and
-        wire version.  When v2 was negotiated, up to ``pool - 1`` extra
-        keep-alive connections are dialed **best-effort** (each with its
-        own handshake): a failure, or an extra connection whose handshake
-        disagrees with the primary's trust or version, just stops pool
-        growth — pooling against a one-connection-at-a-time v1 listener
-        would wedge, which is why v1 sessions never pool.
+        The primary connection's handshake decides the session's trust.
+        Up to ``pool - 1`` extra keep-alive connections are dialed
+        **best-effort** (each with its own handshake): a failure, or an
+        extra connection granted a different trust, just stops pool growth.
         """
-        connection, granted, negotiated = self._handshake_remote(handle)
-        handle.trusted = granted == protocol.TRUST_PICKLED
-        handle.wire_version = negotiated
-        handle.reader_done = False
-        now = time.monotonic()
-        handle.last_pong = now
-        handle.last_ping_sent = now
-        self._attach_link(handle, connection)
-        if negotiated >= protocol.PROTOCOL_VERSION_2:
-            for _ in range(self._pool - 1):
-                try:
-                    extra, extra_granted, extra_negotiated = self._handshake_remote(
-                        handle
-                    )
-                except (OSError, ServingError):
-                    break  # serve over the links we already have
-                if extra_granted != granted or extra_negotiated != negotiated:
-                    extra.close()
-                    break
-                self._attach_link(handle, extra)
+        primary, granted = self._dial(handle)
+        connections = [primary]
+        for _ in range(self._pool - 1):
+            try:
+                extra, extra_granted = self._dial(handle)
+            except (OSError, ServingError):
+                break  # serve over the links we already have
+            if extra_granted != granted:
+                extra.close()
+                break
+            connections.append(extra)
+        self._attach(handle, connections, granted)
 
     # -- per-shard reader ---------------------------------------------------
 
@@ -823,19 +819,20 @@ class ShardSupervisor:
         try:
             self._drain_replies(handle, link.connection)
         finally:
-            # Only a reader of a *current* link may declare a remote handle
-            # dead — a late exit of a replaced link's reader must not shoot
-            # down its successor.  Any one pool link dying declares the
-            # whole handle dead: its queued frames are unrecoverable, so
-            # recovery re-routes everything pending and re-dials the pool.
-            if isinstance(handle, _RemoteShardHandle) and link in handle.links:
+            # Only a reader of a *current* link may declare the handle dead
+            # — a late exit of a replaced link's reader must not shoot down
+            # its successor.  Any one pool link dying declares the whole
+            # handle dead: its queued frames are unrecoverable, so recovery
+            # re-routes everything pending and restores every link.
+            if link in handle.links:
                 handle.reader_done = True
 
     def _drain_replies(self, handle: _ShardHandle, connection) -> None:
         while True:
             try:
                 data = connection.recv_bytes()
-            except (EOFError, OSError):
+            except (EOFError, OSError, ValueError):
+                # ValueError: the link was closed under a blocked read.
                 return  # the monitor notices the dead shard and reroutes
             except ProtocolError:
                 # A torn frame: the stream cannot be re-synchronized.
@@ -850,11 +847,11 @@ class ShardSupervisor:
                     len(data), time.perf_counter() - decode_started
                 )
             except ProtocolError:
-                # An undecodable reply means reply correlation on this pipe
+                # An undecodable reply means reply correlation on this link
                 # is lost (we cannot know whose answer this was).  Poison
-                # the connection: the shard sees EOF and exits, the monitor
-                # respawns it and re-routes every pending request — a
-                # recovery instead of a silent hang.
+                # the connection: the monitor restores the shard and
+                # re-routes every pending request — a recovery instead of a
+                # silent hang.
                 self._poison(connection)
                 return
             request_id = getattr(message, "request_id", -1)
@@ -899,133 +896,73 @@ class ShardSupervisor:
     # -- monitoring / restart ----------------------------------------------
 
     def _monitor_loop(self) -> None:
-        while not self._closed:
-            time.sleep(_MONITOR_INTERVAL_S)
-            with self._lock:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                handles = list(self._handles.values())
-                for handle in handles:
-                    if isinstance(handle, _RemoteShardHandle):
-                        continue  # handled below, outside the lock
-                    if not handle.alive():
-                        self._recover(handle)
-                    elif handle.restarts and now >= handle.next_restart_at + 60.0:
-                        # A minute of health forgives the crash history, so
-                        # the next incident starts from an immediate respawn.
-                        handle.restarts = 0
-            # Remote recovery dials a TCP connection (seconds, worst case):
-            # it must not hold the supervisor lock, or every submit() would
-            # stall behind one unreachable machine.  Only the monitor
-            # thread mutates remote liveness state, so no lock is needed.
-            for handle in handles:
-                if self._closed:
-                    return
-                if isinstance(handle, _RemoteShardHandle):
-                    self._monitor_remote(handle, time.monotonic())
+        """Recover every shard that is not live.
 
-    def _monitor_remote(self, handle: _RemoteShardHandle, now: float) -> None:
-        """Ping-deadline liveness for one remote shard.
-
-        A connected shard is pinged every :data:`_PING_INTERVAL_S`; a pong
-        older than :data:`_PING_TIMEOUT_S` — or a reader that saw EOF —
-        declares the connection dead: the shard leaves the ring (its keys
-        rebalance to ring successors), pending work re-routes, and the
-        monitor re-dials on the restart backoff schedule.
+        Restoring a shard dials a TCP connection or spawns a process
+        (seconds, worst case), so it runs outside the supervisor lock:
+        ``submit()`` never waits on it.  Only this thread restores shards.
         """
-        if handle.alive():
-            if now - handle.last_pong > _PING_TIMEOUT_S:
-                _LOG.warning(
-                    "remote shard %d missed its ping deadline; disconnecting",
-                    handle.shard_id,
-                )
-                self._poison(handle.connection)
-                self._recover_remote(handle)
-            elif now - handle.last_ping_sent >= _PING_INTERVAL_S:
-                self._send_ping(handle, now)
-            elif handle.restarts and now >= handle.next_restart_at + 60.0:
-                handle.restarts = 0  # a minute of health forgives history
-        else:
-            self._recover_remote(handle)
+        while not self._stopping.wait(_MONITOR_INTERVAL_S):
+            for handle in list(self._handles.values()):
+                if self._closed:
+                    return
+                if not handle.alive():
+                    self._recover(handle)
+                elif handle.restarts and time.monotonic() >= handle.next_restart_at + 60.0:
+                    # A minute of health forgives the crash history, so the
+                    # next incident starts from an immediate restore.
+                    handle.restarts = 0
 
-    def _send_ping(self, handle: _RemoteShardHandle, now: float) -> None:
-        request_id = next(self._request_ids)
-        future: Future = Future()
+    def _take_down(self, handle: _ShardHandle) -> None:
+        """Take a shard off the ring, close its links, kill its process.
 
-        def pong_received(completed: Future) -> None:
-            if completed.exception() is None and not completed.cancelled():
-                handle.last_pong = time.monotonic()
-
-        future.add_done_callback(pong_received)
-        with handle.pending_lock:
-            handle.pending[request_id] = (None, None, future, None, None)
-        try:
-            # Pings ride the pre-encoded v1 template (every peer accepts
-            # v1): no json.dumps on the 2 s liveness path.
-            with handle.send_lock:
-                handle.connection.send_bytes(protocol.encode_ping(request_id))
-        except (OSError, ValueError, AttributeError):
-            with handle.pending_lock:
-                handle.pending.pop(request_id, None)
-            return  # connection is dying; the next tick recovers it
-        handle.last_ping_sent = now
+        The kill matters for a hung local process: it never sees EOF, so
+        it would never exit on its own.
+        """
+        self.router.remove_shard(handle.shard_id)
+        handle.drop_links()
+        process = handle.process
+        if process is not None and process.is_alive():
+            process.kill()
+            process.join(timeout=5.0)
 
     def _recover(self, handle: _ShardHandle) -> None:
-        """Re-route a dead shard's pending work; respawn it over its replica.
+        """Take a dead shard off the ring, re-route its pending work,
+        restore it on the backoff, and put it back on the ring.
 
-        Respawns follow :func:`_restart_backoff` (attempt 1 immediate,
-        exponential to :data:`_RESTART_BACKOFF_MAX_S` after), so a shard
-        that dies at startup — a corrupt environment, an import error — is
-        retried at a bounded rate instead of in a tight spawn loop.
+        A local shard is restored by spawning a fresh process over its
+        replica file, a remote one by re-dialing its address.  Restores
+        follow :func:`_restart_backoff` (attempt 1 immediate, exponential to
+        :data:`_RESTART_BACKOFF_MAX_S` after), so a shard that dies at
+        startup — a corrupt environment, an import error — is retried at a
+        bounded rate instead of in a tight loop.
         """
-        pending = handle.take_pending()
-        handle.drop_links()
-        now = time.monotonic()
-        if self.restart and not self._closed and now >= handle.next_restart_at:
-            handle.restarts += 1
-            handle.next_restart_at = now + _restart_backoff(handle.restarts + 1)
-            self._start_shard(handle)
-        self._reroute(handle, pending)
-
-    def _recover_remote(self, handle: _RemoteShardHandle) -> None:
-        """Rebalance a disconnected remote shard; re-dial on the backoff.
-
-        Unlike a local shard there is nothing to respawn: the shard leaves
-        the ring immediately (so new traffic routes to ring successors
-        without a per-request send failure), its pending work re-routes,
-        and reconnection attempts follow the same backoff schedule as local
-        respawns.  On a successful re-dial the shard re-joins the ring —
-        only its own keys move back.
-        """
-        pending = handle.take_pending()
-        handle.drop_links()
-        if handle.shard_id in self.router.shard_ids:
+        if handle.links:
             _LOG.warning(
-                "remote shard %d disconnected; rebalancing its keys to ring "
-                "successors",
+                "shard %d %s; rebalancing its keys to ring successors",
                 handle.shard_id,
+                "lost its link" if handle.reader_done else "missed its ping deadline",
             )
-            self.router.remove_shard(handle.shard_id)
+        self._take_down(handle)
+        self._reroute(handle, handle.take_pending())
         now = time.monotonic()
-        if self.restart and not self._closed and now >= handle.next_restart_at:
-            handle.restarts += 1
-            handle.next_restart_at = now + _restart_backoff(handle.restarts + 1)
-            try:
-                self._connect_remote(handle)
-            except (OSError, ServingError):
-                pass  # still down; the monitor re-dials after the backoff
+        if not self.restart or self._closed or now < handle.next_restart_at:
+            return
+        handle.restarts += 1
+        handle.next_restart_at = now + _restart_backoff(handle.restarts + 1)
+        try:
+            if handle.address is None:
+                self._open_local(handle, self._spawn(handle))
             else:
-                with self._lock:
-                    if self._closed:  # close() ran while we were dialing
-                        handle.drop_links()
-                        return
-                _LOG.info(
-                    "remote shard %d reconnected; re-joining the ring",
-                    handle.shard_id,
-                )
-                self.router.add_shard(handle.shard_id)
-        self._reroute(handle, pending)
+                self._connect_remote(handle)
+        except (OSError, ServingError) as error:
+            _LOG.warning("shard %d restore failed: %s", handle.shard_id, error)
+            return  # still down; the monitor retries after the backoff
+        if self._closed:  # close() gave up waiting for this restore
+            self._take_down(handle)
+            return
+        _LOG.info("shard %d restored; re-joining the ring", handle.shard_id)
+        self.router.add_shard(handle.shard_id)
 
     def _reroute(self, handle: _ShardHandle, pending) -> None:
         """Re-dispatch a dead shard's pending serves to ring successors."""
@@ -1219,11 +1156,11 @@ class ShardSupervisor:
         if handle is None:
             raise ServingError(f"no shard with id {shard_id}")
         _LOG.warning("fault injection: killing shard %d", shard_id)
-        if isinstance(handle, _RemoteShardHandle):
+        if handle.process is not None:
+            handle.process.terminate()
+        else:
             for link in list(handle.links):
                 self._poison(link.connection)
-        elif handle.process is not None:
-            handle.process.terminate()
 
     # -- probes / stats -----------------------------------------------------
 
@@ -1237,13 +1174,8 @@ class ShardSupervisor:
         with handle.pending_lock:
             handle.pending[request_id] = (None, None, future, None, None)
         try:
-            with handle.send_lock:
-                if handle.connection is None:  # a disconnected remote shard
-                    raise OSError("shard connection is down")
-                handle.connection.send_bytes(
-                    protocol.encode_message(message_type(request_id=request_id))
-                )
-        except (OSError, ValueError) as error:
+            handle.enqueue(protocol.encode_message(message_type(request_id=request_id)))
+        except OSError as error:
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
             raise ServingError(f"shard {handle.shard_id} is unreachable") from error
@@ -1292,8 +1224,7 @@ class ShardSupervisor:
         resident table (:func:`~repro.serve.warmup.warm_server`) without a
         restart; ``tenant`` scopes the pass to one namespace, ``None``
         warms them all.  Returns shard id → warmup summary; a shard that
-        cannot run the pass (unreachable, or a v1-era build without the
-        control message) reports an ``"error"`` entry instead of failing
+        cannot run the pass reports an ``"error"`` entry instead of failing
         the broadcast.
         """
         return self._control(
@@ -1361,8 +1292,7 @@ class ShardSupervisor:
 
         Drains the supervisor's own tracer and asks every live shard for its
         retained spans (a :class:`~repro.serve.protocol.StatsCall` with
-        ``drain_spans`` set — a v1 shard ignores the flag and contributes
-        nothing), returning one merged, time-ordered tuple ready for
+        ``drain_spans`` set), returning one merged, time-ordered tuple ready for
         :func:`repro.obs.export.write_chrome_trace`.  A shard that died or
         ships a span this build cannot parse is skipped, never fatal.
         """
@@ -1411,17 +1341,20 @@ class ShardSupervisor:
             if self._closed:
                 return None
             self._closed = True
+        # A restore in flight finishes first, so no shard is spawned or
+        # re-dialed behind close()'s back.
+        self._stopping.set()
+        self._monitor.join(timeout=_SHUTDOWN_GRACE_S)
         for handle in self._handles.values():
-            if isinstance(handle, _RemoteShardHandle):
-                continue  # disconnect only; the listener outlives us
+            if handle.process is None:
+                continue  # disconnect only; a remote listener outlives us
             try:
-                with handle.send_lock:
-                    handle.connection.send_bytes(
-                        protocol.encode_message(
-                            protocol.ShutdownCall(request_id=next(self._request_ids))
-                        )
+                handle.enqueue(
+                    protocol.encode_message(
+                        protocol.ShutdownCall(request_id=next(self._request_ids))
                     )
-            except (OSError, ValueError, AttributeError):
+                )
+            except OSError:
                 pass
         deadline = time.monotonic() + _SHUTDOWN_GRACE_S
         for handle in self._handles.values():
@@ -1429,7 +1362,7 @@ class ShardSupervisor:
                 continue
             handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
             if handle.process.is_alive():
-                handle.process.terminate()
+                handle.process.kill()  # a stopped process ignores SIGTERM
                 handle.process.join(timeout=5.0)
         for handle in self._handles.values():
             for _tenant, _, future, _trace, _deadline in handle.take_pending().values():

@@ -12,8 +12,8 @@ scopes every model and cache key.  Here the tenant id scopes:
 * per-tenant metrics, quotas, and tenant-scoped warmup/invalidation.
 
 The id travels the wire as an **additive** field on the ``ServeCall``
-envelope: absent means :data:`DEFAULT_TENANT`, so v1-era peers and
-pre-tenant traces interoperate unchanged.
+envelope: absent means :data:`DEFAULT_TENANT`, so untenanted calls and
+pre-tenant traces stay byte-identical.
 
 Because tenant ids become key segments and (potentially) file-name
 fragments, they are validated at every boundary — :func:`validate_tenant`

@@ -9,7 +9,6 @@ unknown type, truncated frame, untrusted pickle) is rejected with
 
 import dataclasses
 import io
-import json
 import random
 import socket
 import threading
@@ -21,6 +20,8 @@ from repro.errors import ProtocolError, ServingError, TuningError
 from repro.core.codegen.python_exec import CompiledKernel
 from repro.serve import KernelServer, ServeRequest
 from repro.serve import protocol
+
+from tests.serve.test_protocol_v2 import join_container, split_container
 
 BITS = 128
 SIZE = 16
@@ -123,99 +124,150 @@ class TestMessageRoundTrips:
 
 class TestArtifactEncoding:
     def test_pickled_kernel_requires_trust(self, served):
-        payload = protocol.encode_artifact(served.artifact)
-        assert payload["encoding"] == "pickled_kernel"
+        frames = []
+        payload = protocol.encode_artifact(served.artifact, frames)
+        assert payload == {"encoding": "pickled_kernel", "frame": 0}
         with pytest.raises(ProtocolError, match="untrusted"):
-            protocol.decode_artifact(payload)  # allow_pickled defaults to False
+            # allow_pickled defaults to False
+            protocol.decode_artifact(payload, frames=tuple(frames))
 
     def test_source_passes_untrusted(self):
-        payload = protocol.encode_artifact("void k();")
-        assert protocol.decode_artifact(payload) == "void k();"
+        frames = []
+        payload = protocol.encode_artifact("void k();", frames)
+        assert frames == [b"void k();"]
+        assert protocol.decode_artifact(payload, frames=tuple(frames)) == "void k();"
 
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ProtocolError, match="unknown artifact encoding"):
-            protocol.decode_artifact({"encoding": "dll", "data": ""}, allow_pickled=True)
+            protocol.decode_artifact(
+                {"encoding": "dll", "frame": 0}, allow_pickled=True, frames=(b"",)
+            )
 
     def test_unencodable_artifact_rejected(self):
         with pytest.raises(ProtocolError, match="cannot encode"):
-            protocol.encode_artifact(object())
+            protocol.encode_artifact(object(), [])
 
     def test_corrupt_pickle_rejected(self):
-        payload = {"encoding": "pickled_kernel", "data": "not base64 pickle!"}
+        payload = {"encoding": "pickled_kernel", "frame": 0}
         with pytest.raises(ProtocolError, match="corrupt"):
-            protocol.decode_artifact(payload, allow_pickled=True)
+            protocol.decode_artifact(
+                payload, allow_pickled=True, frames=(b"not a pickle!",)
+            )
+
+    def test_inline_artifact_data_rejected(self):
+        # Bodies only ever travel in frames; an inline "data" body is malformed.
+        with pytest.raises(ProtocolError, match="malformed artifact"):
+            protocol.decode_artifact({"encoding": "source", "data": "void k();"})
+
+
+def ping_head(**overrides):
+    head, _ = split_container(protocol.encode_message(protocol.PingCall(request_id=1)))
+    head.update(overrides)
+    return head
 
 
 class TestVersionAndShape:
     def test_unknown_version_rejected(self):
-        data = protocol.encode_message(protocol.PingCall(request_id=1))
-        envelope = json.loads(data)
-        envelope["moma-serve"] = protocol.PROTOCOL_VERSION + 1
+        data = join_container(ping_head(**{"moma-serve": protocol.PROTOCOL_VERSION + 1}))
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(data)
 
     def test_unknown_message_type_rejected(self):
-        envelope = {"moma-serve": protocol.PROTOCOL_VERSION, "type": "warp", "payload": {}}
         with pytest.raises(ProtocolError, match="unknown message type"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(join_container(ping_head(type="warp")))
 
     def test_non_json_rejected(self):
         with pytest.raises(ProtocolError, match="undecodable"):
             protocol.decode_message(b"\x00\x01binary")
 
+    def test_bare_json_envelope_rejected(self):
+        # A JSON envelope outside the container is not a message.
+        with pytest.raises(ProtocolError, match="undecodable"):
+            protocol.decode_message(
+                b'{"moma-serve": 2, "type": "ping", "payload": {"request_id": 1}}'
+            )
+
     def test_foreign_envelope_rejected(self):
         with pytest.raises(ProtocolError, match="not a moma-serve envelope"):
-            protocol.decode_message(json.dumps({"jsonrpc": "2.0"}).encode())
+            protocol.decode_message(join_container({"jsonrpc": "2.0"}))
 
     def test_missing_request_id_rejected(self):
-        envelope = {
-            "moma-serve": protocol.PROTOCOL_VERSION,
-            "type": "ping",
-            "payload": {},
-        }
         with pytest.raises(ProtocolError, match="request_id"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(join_container(ping_head(payload={})))
 
     def test_unknown_payload_keys_are_ignored(self):
         # Additive optional fields may ride within a protocol version.
-        envelope = {
-            "moma-serve": protocol.PROTOCOL_VERSION,
-            "type": "ping",
-            "payload": {"request_id": 8, "future_field": True},
-        }
-        decoded = protocol.decode_message(json.dumps(envelope).encode())
+        head = ping_head(payload={"request_id": 8, "future_field": True})
+        decoded = protocol.decode_message(join_container(head))
         assert decoded == protocol.PingCall(request_id=8)
+
+
+class TestDeadlineField:
+    CALL = protocol.ServeCall(
+        request_id=7, request=ServeRequest(kind="ntt", bits=BITS, size=SIZE)
+    )
+
+    def test_no_deadline_sends_no_key(self):
+        head, _ = split_container(protocol.encode_message(self.CALL))
+        assert "deadline_ms" not in head["payload"]
+
+    def test_deadline_round_trips(self):
+        call = dataclasses.replace(self.CALL, deadline_ms=250.0)
+        assert round_trip(call).deadline_ms == 250.0
+
+    @pytest.mark.parametrize("value", [0, -5, "soon", True, None])
+    def test_malformed_deadline_decodes_as_no_deadline(self, value):
+        head, tail = split_container(protocol.encode_message(self.CALL))
+        head["payload"]["deadline_ms"] = value
+        assert protocol.decode_message(join_container(head, tail)).deadline_ms is None
+
+
+def framed(message) -> bytes:
+    """One message as it crosses a socket: a 4-byte length, then the bytes."""
+    data = protocol.encode_message(message)
+    return len(data).to_bytes(4, "big") + data
+
+
+def read_message(stream):
+    """Read one frame and decode it; ``None`` on clean EOF at a boundary."""
+    frame = protocol.read_frame(stream)
+    return None if frame is None else protocol.decode_message(frame)
 
 
 class TestFraming:
     def test_stream_round_trip_preserves_order(self):
-        stream = io.BytesIO()
+        left, right = socket.socketpair()
+        sender = protocol.StreamConnection(left)
+        receiver = protocol.StreamConnection(right)
         messages = [
             protocol.PingCall(request_id=1),
             protocol.StatsCall(request_id=2),
             protocol.ShutdownCall(request_id=3),
         ]
-        for message in messages:
-            protocol.write_message(stream, message)
-        stream.seek(0)
-        assert [protocol.read_message(stream) for _ in messages] == messages
-        assert protocol.read_message(stream) is None  # clean EOF
+        try:
+            sender.send_bytes(protocol.encode_message(messages[0]))
+            sender.send_many([protocol.encode_message(one) for one in messages[1:]])
+            sender.close()
+            received = [protocol.decode_message(receiver.recv_bytes()) for _ in messages]
+            assert received == messages
+            with pytest.raises(EOFError):  # clean EOF at a frame boundary
+                receiver.recv_bytes()
+        finally:
+            receiver.close()
 
     def test_truncated_frame_rejected(self):
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.PingCall(request_id=1))
-        data = stream.getvalue()
+        data = framed(protocol.PingCall(request_id=1))
         with pytest.raises(ProtocolError, match="truncated"):
-            protocol.read_message(io.BytesIO(data[:-3]))
+            protocol.read_frame(io.BytesIO(data[:-3]))
 
     def test_short_length_prefix_rejected(self):
         with pytest.raises(ProtocolError, match="short length prefix"):
-            protocol.read_message(io.BytesIO(b"\x00\x01"))
+            protocol.read_frame(io.BytesIO(b"\x00\x01"))
 
     def test_implausible_length_rejected(self):
         prefix = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="implausible"):
-            protocol.read_message(io.BytesIO(prefix + b"x"))
+            protocol.read_frame(io.BytesIO(prefix + b"x"))
 
 
 class TestHandshakeMessages:
@@ -271,16 +323,17 @@ class TestSocketFuzz:
     """Malformed frames over a real socketpair must always fail cleanly.
 
     Every outcome of feeding truncated / oversized / garbage bytes into
-    :func:`protocol.read_message` must be a :class:`ProtocolError` (or a
-    clean-EOF ``None``) — never a hang, an ``OverflowError``, or a
-    ``MemoryError`` from trusting a corrupt length prefix.  The reader side
-    uses an *unbuffered* socket file, so ``stream.read(n)`` legally returns
-    short — exactly the case the ``_read_exact`` loop exists for.
+    :func:`protocol.read_frame` and :func:`protocol.decode_message` must be
+    a :class:`ProtocolError` (or a clean-EOF ``None``) — never a hang, an
+    ``OverflowError``, or a ``MemoryError`` from trusting a corrupt length
+    prefix.  The reader side uses an *unbuffered* socket file, so
+    ``stream.read(n)`` legally returns short — exactly the case the
+    ``_read_exact`` loop exists for.
     """
 
     @staticmethod
     def feed(payload: bytes):
-        """Deliver ``payload`` then EOF; return/raise read_message's outcome."""
+        """Deliver ``payload`` then EOF; return/raise the decoded outcome."""
         writer, reader_sock = socket.socketpair()
         with writer, reader_sock:
             reader_sock.settimeout(30.0)  # a hang fails loudly, not forever
@@ -288,15 +341,13 @@ class TestSocketFuzz:
             if payload:
                 writer.sendall(payload)
             writer.shutdown(socket.SHUT_WR)
-            return protocol.read_message(reader)
+            return read_message(reader)
 
     def test_empty_stream_is_clean_eof(self):
         assert self.feed(b"") is None
 
     def test_every_truncation_of_a_valid_frame_is_rejected(self):
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.PingCall(request_id=9))
-        frame = stream.getvalue()
+        frame = framed(protocol.PingCall(request_id=9))
         for cut in range(1, len(frame)):
             with pytest.raises(ProtocolError):
                 self.feed(frame[:cut])
@@ -324,12 +375,13 @@ class TestSocketFuzz:
                 self.feed(payload)
             except ProtocolError:
                 pass  # the only acceptable exception
+            # The same garbage behind a valid prefix reaches the decoder.
+            with pytest.raises(ProtocolError):
+                self.feed(len(payload).to_bytes(4, "big") + payload)
 
     def test_valid_frame_survives_dribbled_delivery(self):
         # One byte at a time across the socket: _read_exact must reassemble.
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.StatsCall(request_id=5))
-        frame = stream.getvalue()
+        frame = framed(protocol.StatsCall(request_id=5))
         writer, reader_sock = socket.socketpair()
         with writer, reader_sock:
             reader_sock.settimeout(30.0)
@@ -343,5 +395,5 @@ class TestSocketFuzz:
 
             feeder = threading.Thread(target=dribble, daemon=True)
             feeder.start()
-            assert protocol.read_message(reader) == protocol.StatsCall(request_id=5)
+            assert read_message(reader) == protocol.StatsCall(request_id=5)
             feeder.join(timeout=10)

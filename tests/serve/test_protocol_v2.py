@@ -1,19 +1,16 @@
-"""Protocol v2: binary payload frames, negotiation, and frame fuzzing.
+"""The binary container: payload frames and frame fuzzing.
 
-The acceptance properties of the fast wire live here: every message
-round-trips through the v2 binary container (artifact bodies as raw
-length-prefixed frames — no base64, no JSON string-escaping), a v2 kernel
-reply is strictly smaller than its v1 JSON+base64 form, decoders accept
-*both* encodings without being told which is coming (the frame magic
-disambiguates), version negotiation is min(local, peer) with v1-era peers
-defaulting to 1, and every malformed v2 container — truncated frames,
-envelope/frame length disagreements, garbage, trailing bytes — fails with
+The acceptance properties of the wire container live here: every message
+round-trips through it (artifact bodies as raw length-prefixed frames — no
+base64, no JSON string-escaping), a kernel reply is its raw pickle plus a
+small head, and every malformed container — truncated frames, head/frame
+length disagreements, garbage, trailing bytes — fails with
 :class:`ProtocolError`, never a hang or a bad allocation.
 """
 
 import dataclasses
-import io
 import json
+import pickle
 import socket
 
 import pytest
@@ -27,6 +24,20 @@ BITS = 128
 SIZE = 16
 
 V2 = protocol.PROTOCOL_VERSION_2
+
+
+def split_container(blob: bytes) -> tuple[dict, bytes]:
+    """The JSON head of an encoded message and the frame bytes after it."""
+    offset = len(protocol.FRAME_MAGIC)
+    length = int.from_bytes(blob[offset : offset + 4], "big")
+    head = json.loads(blob[offset + 4 : offset + 4 + length].decode("utf-8"))
+    return head, blob[offset + 4 + length :]
+
+
+def join_container(head: dict, tail: bytes = b"") -> bytes:
+    """An encoded message rebuilt around ``head``; ``tail`` (the frames) verbatim."""
+    data = json.dumps(head, sort_keys=True).encode("utf-8")
+    return protocol.FRAME_MAGIC + len(data).to_bytes(4, "big") + data + tail
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +70,6 @@ class TestV2RoundTrips:
         data = protocol.encode_message(protocol.PingCall(request_id=1), version=V2)
         assert data[: len(protocol.FRAME_MAGIC)] == protocol.FRAME_MAGIC
 
-    def test_magic_is_invalid_utf8(self):
-        # The disambiguation guarantee: a v2 blob can never parse as a v1
-        # JSON envelope, so a confused v1-only decoder fails cleanly
-        # instead of mis-reading it.
-        with pytest.raises(UnicodeDecodeError):
-            protocol.FRAME_MAGIC.decode("utf-8")
-
     def test_pickled_kernel_round_trips_through_a_binary_frame(self, served):
         message = protocol.ServeReply(request_id=9, result=served)
         decoded = round_trip_v2(message, allow_pickled=True)
@@ -86,17 +90,18 @@ class TestV2RoundTrips:
             protocol.ServeReply(request_id=1, result=source_result), version=V2
         )
         # Zero-copy into the payload frame: the raw bytes appear verbatim,
-        # un-escaped (the v1 JSON form escapes every newline as \\n).
+        # un-escaped (a JSON string would escape every newline as \\n).
         assert source.encode("utf-8") in data
         decoded = protocol.decode_message(data)
         assert decoded.result.artifact == source
 
-    def test_kernel_reply_is_smaller_than_v1(self, served):
-        # The size half of the perf claim: no base64 (+33%) on the pickle.
-        message = protocol.ServeReply(request_id=9, result=served)
-        v1 = protocol.encode_message(message)
-        v2 = protocol.encode_message(message, version=V2)
-        assert len(v2) < len(v1)
+    def test_kernel_reply_is_its_raw_pickle_plus_a_head(self, served):
+        # No base64 (+33%) and no escaping: the pickle is the frame.
+        data = protocol.encode_message(protocol.ServeReply(request_id=9, result=served))
+        head, tail = split_container(data)
+        body = pickle.dumps(served.artifact)
+        assert tail == len(body).to_bytes(4, "big") + body
+        assert head["frames"] == [len(body)]
 
     def test_pickled_frame_is_trust_gated(self, served):
         data = protocol.encode_message(
@@ -106,90 +111,12 @@ class TestV2RoundTrips:
             protocol.decode_message(data, allow_pickled=False)
 
     def test_unknown_encode_version_rejected(self):
-        with pytest.raises(ProtocolError, match="version"):
-            protocol.encode_message(protocol.PingCall(request_id=1), version=3)
+        for version in (1, 3):
+            with pytest.raises(ProtocolError, match="version"):
+                protocol.encode_message(protocol.PingCall(request_id=1), version=version)
 
-    def test_decoder_accepts_both_encodings_unannounced(self):
-        message = protocol.PingCall(request_id=5)
-        for data in (
-            protocol.encode_message(message),
-            protocol.encode_message(message, version=V2),
-        ):
-            assert protocol.decode_message(data) == message
-
-
-class TestNegotiation:
-    def test_min_wins(self):
-        assert protocol.negotiate_version(2, 1) == 1
-        assert protocol.negotiate_version(1, 2) == 1
-        assert protocol.negotiate_version(2, 2) == 2
-        # A future peer advertising v3 still lands on our maximum.
-        assert protocol.negotiate_version(2, 3) == 2
-
-    def test_impossible_peer_versions_rejected(self):
-        for bad in (0, -1, True, "2", None, 1.5):
-            with pytest.raises(ProtocolError, match="impossible"):
-                protocol.negotiate_version(2, bad)
-
-    def test_hello_carries_max_protocol(self):
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-            max_protocol=2,
-        )
-        assert protocol.decode_message(protocol.encode_message(hello)).max_protocol == 2
-
-    def test_v1_era_hello_defaults_to_max_protocol_1(self):
-        # A peer built before negotiation existed sends no max_protocol
-        # field at all; the decoder must default it to 1, which is what
-        # makes min(local, peer) collapse mixed clusters onto v1.
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-        )
-        envelope = json.loads(protocol.encode_message(hello).decode("utf-8"))
-        del envelope["payload"]["max_protocol"]
-        decoded = protocol.decode_message(json.dumps(envelope).encode("utf-8"))
-        assert decoded.max_protocol == 1
-
-    def test_nonpositive_max_protocol_in_hello_rejected(self):
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-        )
-        envelope = json.loads(protocol.encode_message(hello).decode("utf-8"))
-        envelope["payload"]["max_protocol"] = 0
-        with pytest.raises(ProtocolError):
-            protocol.decode_message(json.dumps(envelope).encode("utf-8"))
-
-
-class TestPreEncodedProbes:
-    def test_ping_matches_encode_message(self):
-        for request_id in (1, 42, 987654321987654320, 10**19):
-            assert protocol.encode_ping(request_id) == protocol.encode_message(
-                protocol.PingCall(request_id=request_id)
-            )
-
-    def test_pong_matches_encode_message(self):
-        for request_id, shard_id, pid in ((1, 0, 100), (77, 3, 43210)):
-            assert protocol.encode_pong(
-                request_id, shard_id, pid
-            ) == protocol.encode_message(
-                protocol.PongReply(request_id=request_id, shard_id=shard_id, pid=pid)
-            )
-
-    def test_non_integer_request_ids_rejected(self):
-        for bad in (True, "1", None, 1.5):
-            with pytest.raises(ProtocolError):
-                protocol.encode_ping(bad)
-            with pytest.raises(ProtocolError):
-                protocol.encode_pong(bad, 0, 1)
+    def test_the_version_has_one_value_under_two_names(self):
+        assert protocol.PROTOCOL_VERSION == V2 == 2
 
 
 def v2_blob(message=None):
@@ -203,24 +130,15 @@ def v2_blob(message=None):
 
 
 def tamper(blob: bytes, **envelope_overrides) -> bytes:
-    """Rebuild a v2 blob with its JSON envelope fields overridden.
+    """Rebuild a blob with its JSON head fields overridden.
 
-    The frame bytes after the envelope are preserved verbatim, so a
-    mismatch between what the envelope *declares* and what the frames
-    *are* can be manufactured precisely.
+    The frame bytes after the head are preserved verbatim, so a mismatch
+    between what the head *declares* and what the frames *are* can be
+    manufactured precisely.
     """
-    offset = len(protocol.FRAME_MAGIC)
-    head_length = int.from_bytes(blob[offset : offset + 4], "big")
-    head = json.loads(blob[offset + 4 : offset + 4 + head_length].decode("utf-8"))
-    tail = blob[offset + 4 + head_length :]
+    head, tail = split_container(blob)
     head.update(envelope_overrides)
-    new_head = json.dumps(head, sort_keys=True).encode("utf-8")
-    return (
-        protocol.FRAME_MAGIC
-        + len(new_head).to_bytes(4, "big")
-        + new_head
-        + tail
-    )
+    return join_container(head, tail)
 
 
 _SOURCE_RESULT = None  # populated by the fixture below
@@ -239,7 +157,7 @@ def _source_result(served):
 
 
 class TestV2Fuzz:
-    """Malformed v2 containers over a real socketpair: always ProtocolError.
+    """Malformed containers over a real socketpair: always ProtocolError.
 
     The bytes travel through the real stream framing (4-byte prefix +
     body over an unbuffered socket file) exactly as they would between a
@@ -256,7 +174,9 @@ class TestV2Fuzz:
             reader = reader_sock.makefile("rb", buffering=0)
             writer.sendall(len(payload).to_bytes(4, "big") + payload)
             writer.shutdown(socket.SHUT_WR)
-            return protocol.read_message(reader, allow_pickled=allow_pickled)
+            return protocol.decode_message(
+                protocol.read_frame(reader), allow_pickled=allow_pickled
+            )
 
     def test_valid_blob_survives_the_stream(self):
         decoded = self.feed(v2_blob())
@@ -276,17 +196,7 @@ class TestV2Fuzz:
         blob = v2_blob()
         declared = tamper(blob)  # identity rebuild, sanity
         assert protocol.decode_message(declared).request_id == 3
-        head = json.loads(
-            blob[
-                len(protocol.FRAME_MAGIC) + 4 : len(protocol.FRAME_MAGIC)
-                + 4
-                + int.from_bytes(
-                    blob[len(protocol.FRAME_MAGIC) : len(protocol.FRAME_MAGIC) + 4],
-                    "big",
-                )
-            ].decode("utf-8")
-        )
-        lengths = head["frames"]
+        lengths = split_container(blob)[0]["frames"]
         assert lengths, "the fixture blob must carry a payload frame"
         for delta in (-1, 1, 1000):
             wrong = [lengths[0] + delta] + lengths[1:]
@@ -318,15 +228,10 @@ class TestV2Fuzz:
     def test_bad_frame_reference_rejected(self):
         # The payload references frame 0; an envelope declaring no frames
         # (and shipping none) leaves the reference dangling.
-        blob = v2_blob()
-        offset = len(protocol.FRAME_MAGIC)
-        head_length = int.from_bytes(blob[offset : offset + 4], "big")
-        head = json.loads(blob[offset + 4 : offset + 4 + head_length].decode("utf-8"))
+        head, _ = split_container(v2_blob())
         head["frames"] = []
-        new_head = json.dumps(head, sort_keys=True).encode("utf-8")
-        naked = protocol.FRAME_MAGIC + len(new_head).to_bytes(4, "big") + new_head
-        with pytest.raises(ProtocolError):
-            self.feed(naked)
+        with pytest.raises(ProtocolError, match="frame index"):
+            self.feed(join_container(head))
 
     def test_undecodable_source_frame_rejected(self):
         # A source-text frame whose bytes are not UTF-8 must fail decode,

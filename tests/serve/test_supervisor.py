@@ -8,10 +8,13 @@ These tests spawn OS processes and are the slowest in the suite — one
 module-scoped cluster serves all the read-mostly tests.
 """
 
+import os
+import signal
 import time
 
 import pytest
 
+import repro.serve.supervisor as supervisor_module
 from repro.errors import ReproError, ServingError
 from repro.serve import ClusterStats, ServedNTT, ServeRequest, ShardSupervisor
 from repro.serve import protocol
@@ -77,6 +80,13 @@ class TestRoutedServing:
         artifact = results[0].artifact
         limbs = tuple(range(len(artifact.kernel.params)))
         assert isinstance(artifact.call_limbs(*limbs), tuple)
+
+    def test_local_links_are_handshaken_sockets_with_pickled_trust(self, cluster):
+        supervisor, _, _ = cluster
+        for handle in supervisor._handles.values():
+            assert isinstance(handle.connection, protocol.StreamConnection)
+            assert handle.trusted is True
+            assert handle.address is None and handle.process.is_alive()
 
 
 class TestAggregatedStats:
@@ -197,6 +207,27 @@ class TestRobustness:
         finally:
             supervisor.close()
 
+    def test_spawned_shard_never_unpickles_what_it_receives(self, tmp_path):
+        # The spawned shard's link has pickled trust, which governs only
+        # what the shard sends: a pickled artifact sent *to* it is refused
+        # unopened, and the uncorrelated error reply makes the supervisor
+        # restore the shard.
+        from tests.serve.test_tcp_transport import pickled_result_frame
+
+        marker = tmp_path / "unpickled"
+        with ShardSupervisor(shards=1, devices=("rtx4090",), workers=1) as supervisor:
+            handle = supervisor._handles[0]
+            handle.enqueue(pickled_result_frame(marker))
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and not (
+                handle.restarts >= 1 and handle.alive()
+            ):
+                time.sleep(0.05)
+            assert handle.restarts >= 1
+            request = ServeRequest(kind="ntt", bits=128, size=SIZE)
+            assert supervisor.serve(request).request == request
+        assert not marker.exists()
+
     def test_corrupt_replica_is_quarantined_not_crash_looped(self, tmp_path):
         # A torn replica file (crashed writer) must not make the shard die
         # at startup forever: it is renamed *.corrupt and serving proceeds.
@@ -211,6 +242,41 @@ class TestRobustness:
             assert supervisor._handles[0].restarts == 0
         finally:
             supervisor.close()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX SIGSTOP")
+class TestLiveness:
+    def test_stopped_shard_is_killed_rerouted_and_respawned(self, monkeypatch):
+        # A stopped process keeps its socket open and never sees EOF, so
+        # only the ping deadline can tell it is gone: its pending request
+        # re-routes, the process is killed, and a fresh one re-joins.
+        monkeypatch.setattr(supervisor_module, "_PING_INTERVAL_S", 0.25)
+        monkeypatch.setattr(supervisor_module, "_PING_TIMEOUT_S", 3.0)
+        with ShardSupervisor(shards=2, devices=("rtx4090",), workers=2) as supervisor:
+            request = ServeRequest(kind="ntt", bits=128, size=SIZE)
+            victim = supervisor.router.route(request)
+            handle = supervisor._handles[victim]
+            stopped = handle.process
+            os.kill(stopped.pid, signal.SIGSTOP)
+            try:
+                future = supervisor.submit(request)
+                with handle.pending_lock:
+                    assert any(entry[1] == request for entry in handle.pending.values())
+                assert future.result(timeout=60).request == request
+                stopped.join(timeout=30)
+                assert stopped.exitcode == -signal.SIGKILL
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline and not (
+                    handle.alive() and victim in supervisor.router.shard_ids
+                ):
+                    time.sleep(0.05)
+                assert handle.process is not stopped
+                assert handle.restarts >= 1
+                assert handle.alive()
+                assert victim in supervisor.router.shard_ids
+            finally:
+                if stopped.is_alive():
+                    os.kill(stopped.pid, signal.SIGKILL)
 
 
 class TestRestartBackoff:

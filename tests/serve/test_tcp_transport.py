@@ -3,17 +3,20 @@
 The acceptance properties of the network transport live here: a supervisor
 serves requests through ≥2 shards over TCP, the handshake pins the protocol
 version and negotiates trust (source-only by default — pickled artifacts
-are rejected on untrusted transports while source text round-trips),
-killing a remote shard's connection re-routes its keys to ring successors
-without hanging in-flight futures, and a listener survives a supervisor
-disconnect (re-accept) and a bad handshake.
+are rejected on untrusted transports while source text round-trips), a
+shard never unpickles what it receives, killing a remote shard's connection
+re-routes its keys to ring successors without hanging in-flight futures,
+and a listener survives a supervisor disconnect (re-accept) and a bad
+handshake.
 
 TCP shards run as in-process listener threads (each owns a real
 ``KernelServer``): the bytes cross real sockets exactly as they would
 between machines, without per-test process spawn cost.
 """
 
+import dataclasses
 import json
+import pickle
 import queue
 import socket
 import threading
@@ -39,12 +42,7 @@ FAMILY_MIX = [
 ]
 
 
-def start_listener(
-    trust=protocol.TRUST_SOURCE,
-    shard_id=0,
-    workers=2,
-    max_protocol=protocol.MAX_PROTOCOL_VERSION,
-):
+def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
     """One TCP shard in a daemon thread; returns (address, thread)."""
     bound: queue.Queue = queue.Queue()
     thread = threading.Thread(
@@ -55,13 +53,27 @@ def start_listener(
             shard_id=shard_id,
             workers=workers,
             trust=trust,
-            max_protocol=max_protocol,
             on_bound=bound.put,
         ),
         daemon=True,
     )
     thread.start()
     return bound.get(timeout=30), thread
+
+
+def hello(connection, trust=protocol.TRUST_SOURCE, shard_id=-1):
+    """Open a raw session the way a supervisor does; returns the reply."""
+    connection.send_bytes(
+        protocol.encode_message(
+            protocol.HelloCall(
+                request_id=1,
+                protocol_version=protocol.PROTOCOL_VERSION,
+                shard_id=shard_id,
+                trust=trust,
+            )
+        )
+    )
+    return protocol.decode_message(connection.recv_bytes())
 
 
 def shut_down_listener(address, thread):
@@ -72,17 +84,7 @@ def shut_down_listener(address, thread):
         return  # already gone
     connection = protocol.StreamConnection(sock)
     try:
-        connection.send_bytes(
-            protocol.encode_message(
-                protocol.HelloCall(
-                    request_id=1,
-                    protocol_version=protocol.PROTOCOL_VERSION,
-                    shard_id=-1,
-                    trust=protocol.TRUST_SOURCE,
-                )
-            )
-        )
-        connection.recv_bytes()  # the hello reply
+        hello(connection)
         connection.send_bytes(
             protocol.encode_message(protocol.ShutdownCall(request_id=2))
         )
@@ -153,6 +155,12 @@ class TestServingOverTcp:
         with pytest.raises(ReproError):
             supervisor.serve(bad)
 
+    def test_every_remote_shard_keeps_a_link_pool(self, tcp_cluster):
+        supervisor, _ = tcp_cluster
+        for handle in supervisor._handles.values():
+            assert len(handle.links) == 2  # the default pool
+        assert supervisor.wire_snapshot().messages_sent >= len(FAMILY_MIX)
+
 
 class TestHandshake:
     def test_handshake_grants_at_most_listener_policy(self):
@@ -205,12 +213,12 @@ class TestHandshake:
                 bound.put(listener.getsockname()[:2])
                 sock, _ = listener.accept()
                 connection = protocol.StreamConnection(sock)
-                hello = protocol.decode_message(connection.recv_bytes())
+                call = protocol.decode_message(connection.recv_bytes())
                 connection.send_bytes(
                     protocol.encode_message(
                         protocol.HelloReply(
-                            request_id=hello.request_id,
-                            shard_id=hello.shard_id,
+                            request_id=call.request_id,
+                            shard_id=call.shard_id,
                             pid=1,
                             protocol_version=protocol.PROTOCOL_VERSION,
                             trust=protocol.TRUST_PICKLED,  # the lie
@@ -367,120 +375,62 @@ class TestDisconnectRebalance:
             shut_down_listener(address, thread)
 
 
-class TestMixedVersions:
-    """v1 and v2 builds interoperating on one wire.
+class _OpensAFile:
+    """A pickle payload that creates a file when unpickled."""
 
-    The rollout story the negotiation exists for: either side of a
-    connection may still be a v1-era build (or pinned to v1 by the
-    operator), and the pair must land on v1 and keep serving — never
-    wedge, never spray binary frames at a JSON-only peer.
-    """
+    def __init__(self, path):
+        self.path = path
 
-    def serve_and_inspect(self, supervisor):
-        result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-        assert result.tuning is not None
-        assert isinstance(result.artifact, str)
-        return supervisor._handles[0]
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
-    def test_v2_supervisor_v1_listener_negotiates_down(self):
-        address, thread = start_listener(max_protocol=protocol.PROTOCOL_VERSION)
+
+def pickled_result_frame(marker) -> bytes:
+    """A ``result`` message whose artifact is a pickle creating ``marker``."""
+    payload = {
+        "request_id": 5,
+        "result": {
+            "request": dataclasses.asdict(ServeRequest(kind="ntt", bits=64, size=SIZE)),
+            "artifact": {"encoding": "pickled_kernel", "frame": 0},
+        },
+    }
+    body = pickle.dumps(_OpensAFile(str(marker)))
+    head = json.dumps(
+        {"moma-serve": 2, "type": "result", "payload": payload, "frames": [len(body)]}
+    ).encode("utf-8")
+    return (
+        protocol.FRAME_MAGIC
+        + len(head).to_bytes(4, "big")
+        + head
+        + len(body).to_bytes(4, "big")
+        + body
+    )
+
+
+class TestShardNeverUnpickles:
+    def test_pickled_artifact_sent_to_a_shard_is_refused_unopened(self, tmp_path):
+        # Trust governs only what a shard sends.  Even on a link granted
+        # pickled trust, a result frame whose artifact is a pickle must be
+        # refused before anything is unpickled.
+        marker = tmp_path / "unpickled"
+        frame = pickled_result_frame(marker)
+        address, thread = start_listener(trust=protocol.TRUST_PICKLED)
         try:
-            supervisor = ShardSupervisor(
-                shards=0, devices=("rtx4090",), connect=(address,)
+            connection = protocol.StreamConnection(
+                socket.create_connection(address, timeout=5)
             )
             try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION
-                # No pooling against a v1 peer: v1-era listeners accept one
-                # connection at a time, extra dials would wedge unanswered.
-                assert len(handle.links) == 1
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_v1_supervisor_v2_listener_negotiates_down(self):
-        address, thread = start_listener()
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                max_protocol=protocol.PROTOCOL_VERSION,
-            )
-            try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION
-                assert len(handle.links) == 1
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_v2_peers_pool_and_speak_binary(self):
-        address, thread = start_listener()
-        try:
-            supervisor = ShardSupervisor(
-                shards=0, devices=("rtx4090",), connect=(address,), pool=2
-            )
-            try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION_2
-                assert len(handle.links) == 2
-                # Traffic flows over the pooled links and the wire profile
-                # sees it: coalesced flushes never exceed messages sent.
-                wire = supervisor.wire_snapshot()
-                assert wire.messages_sent >= 1
-                assert wire.flushes >= 1
-                assert wire.flushes <= wire.messages_sent
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_true_v1_era_peer_still_serves(self):
-        # A peer built before negotiation existed: its hello carries no
-        # max_protocol field at all. Emulate one faithfully by speaking raw
-        # v1 JSON at a v2 listener.
-        address, thread = start_listener()
-        try:
-            sock = socket.create_connection(address, timeout=5)
-            connection = protocol.StreamConnection(sock)
-            try:
-                hello = protocol.encode_message(
-                    protocol.HelloCall(
-                        request_id=1,
-                        protocol_version=protocol.PROTOCOL_VERSION,
-                        shard_id=0,
-                        trust=protocol.TRUST_SOURCE,
-                    )
-                )
-                envelope = json.loads(hello.decode("utf-8"))
-                del envelope["payload"]["max_protocol"]
-                connection.send_bytes(json.dumps(envelope).encode("utf-8"))
+                granted = hello(connection, trust=protocol.TRUST_PICKLED, shard_id=0)
+                assert granted.trust == protocol.TRUST_PICKLED
+                connection.send_bytes(frame)
                 reply = protocol.decode_message(connection.recv_bytes())
-                assert isinstance(reply, protocol.HelloReply)
-
-                connection.send_bytes(
-                    protocol.encode_message(
-                        protocol.ServeCall(
-                            request_id=2,
-                            request=ServeRequest(kind="ntt", bits=64, size=SIZE),
-                        )
-                    )
-                )
-                data = connection.recv_bytes()
-                # The reply must be v1 JSON — a binary frame would be
-                # unreadable to this peer.
-                assert data[: len(protocol.FRAME_MAGIC)] != protocol.FRAME_MAGIC
-                served = json.loads(data.decode("utf-8"))  # parses as JSON
-                assert served["payload"]["request_id"] == 2
-                decoded = protocol.decode_message(data)
-                assert isinstance(decoded.result.artifact, str)
             finally:
                 connection.close()
         finally:
             shut_down_listener(address, thread)
+        assert isinstance(reply, protocol.ErrorReply)
+        assert "unpickle" in reply.message
+        assert not marker.exists()
 
 
 class TestMixedRing:
@@ -499,8 +449,10 @@ class TestMixedRing:
             assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
             pongs = supervisor.ping()
             assert set(pongs) == {0, 1}
-            # The local pipe stays fully trusted even while the TCP shard
-            # runs source-only: artifact types differ by transport.
+            # The spawned shard's link is granted pickled trust while the
+            # TCP shard runs source-only: artifact types differ by link.
+            assert supervisor._handles[0].trusted is True
+            assert supervisor._handles[1].trusted is False
             stats = supervisor.stats()
             assert len(stats.shards) == 2
         finally:

@@ -9,7 +9,6 @@ invalidation of A leave B warm, and a tenant over quota gets
 """
 
 import dataclasses
-import json
 
 import pytest
 
@@ -18,6 +17,8 @@ from repro.serve import KernelServer, ServeRequest, ShardSupervisor, serve_many
 from repro.serve import protocol
 from repro.serve.server import serve_key
 from repro.tenancy import DEFAULT_TENANT, TenantConfig
+
+from tests.serve.test_protocol_v2 import join_container, split_container
 
 BAD_TENANTS = ["", "a::b", "a/b", "a b"]
 
@@ -36,8 +37,8 @@ def server():
 
 class TestWireTenantField:
     def test_untenanted_envelope_is_byte_identical(self):
-        # The tenant field must not appear for the default tenant: that is
-        # what makes a v1-era peer (and a pre-tenant capture) interoperate.
+        # The tenant field must not appear for the default tenant, so an
+        # untenanted call is byte-identical to the pre-tenant wire format.
         implicit = protocol.encode_message(
             protocol.ServeCall(request_id=1, request=REQUEST)
         )
@@ -45,7 +46,7 @@ class TestWireTenantField:
             protocol.ServeCall(request_id=1, request=REQUEST, tenant=DEFAULT_TENANT)
         )
         assert implicit == explicit
-        assert "tenant" not in json.loads(implicit)["payload"]
+        assert "tenant" not in split_container(implicit)[0]["payload"]
 
     def test_absent_tenant_decodes_as_default(self):
         decoded = round_trip(protocol.ServeCall(request_id=1, request=REQUEST))
@@ -59,23 +60,23 @@ class TestWireTenantField:
 
     @pytest.mark.parametrize("tenant", BAD_TENANTS)
     def test_present_but_invalid_tenant_is_rejected(self, tenant):
-        envelope = json.loads(
+        head, _ = split_container(
             protocol.encode_message(protocol.ServeCall(request_id=1, request=REQUEST))
         )
-        envelope["payload"]["tenant"] = tenant
+        head["payload"]["tenant"] = tenant
         with pytest.raises(ProtocolError, match="tenant"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(join_container(head))
 
     def test_unknown_additive_fields_are_ignored(self):
         # Fuzz the additive-field discipline: a newer peer's extra keys
         # must not break an older decoder.
-        envelope = json.loads(
+        head, _ = split_container(
             protocol.encode_message(
                 protocol.ServeCall(request_id=1, request=REQUEST, tenant="acme")
             )
         )
-        envelope["payload"]["a-future-field"] = {"anything": 1}
-        decoded = protocol.decode_message(json.dumps(envelope).encode())
+        head["payload"]["a-future-field"] = {"anything": 1}
+        decoded = protocol.decode_message(join_container(head))
         assert decoded.tenant == "acme"
 
     def test_control_messages_round_trip(self):
@@ -118,12 +119,12 @@ class TestWireTenantField:
         assert "acme" in reply.stats.tenants
         # A malformed breakdown entry is dropped tolerantly, not fatal:
         # the stats path must survive a newer peer's schema.
-        envelope = json.loads(
+        head, _ = split_container(
             protocol.encode_message(protocol.StatsReply(request_id=1, stats=stats))
         )
-        envelope["payload"]["stats"]["tenants"]["bad::id"] = block
-        envelope["payload"]["stats"]["tenants"]["acme"] = "not a dict"
-        decoded = protocol.decode_message(json.dumps(envelope).encode())
+        head["payload"]["stats"]["tenants"]["bad::id"] = block
+        head["payload"]["stats"]["tenants"]["acme"] = "not a dict"
+        decoded = protocol.decode_message(join_container(head))
         assert decoded.stats.tenants == {}
 
     def test_quota_error_survives_the_wire(self):

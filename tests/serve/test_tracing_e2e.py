@@ -9,10 +9,10 @@ child spans.  ``ShardSupervisor.drain_spans`` pulls all of it into one
 process via the ``StatsCall`` span-drain mode, and the merged set exports
 as a Chrome trace-event document that validates.
 
-Interop rides along: the ``trace`` field is *additive*, so a v1 JSON
-envelope without it (an old peer) still decodes, a traced v2 supervisor
-forced down to protocol v1 still gets a merged trace, and an untraced
-supervisor sends byte-identical envelopes to the pre-tracing wire format.
+The wire contract rides along: the ``trace`` field is *additive*, so a
+call without it decodes as untraced, a malformed one degrades to
+untraced, and an untraced supervisor sends byte-identical calls to the
+pre-tracing wire format.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.obs.trace import Tracer
 from repro.serve import ServeRequest, ShardSupervisor
 from repro.serve import protocol
 
+from tests.serve.test_protocol_v2 import join_container, split_container
 from tests.serve.test_tcp_transport import start_listener, shut_down_listener
 
 SIZE = 16
@@ -128,69 +129,42 @@ class TestMergedTrace:
         assert supervisor.drain_spans() == ()
 
 
-class TestMixedVersionRing:
-    def test_v1_wire_still_merges_a_full_trace(self):
-        """A traced supervisor forced to protocol v1 loses nothing."""
-        listeners = [start_listener(shard_id=index) for index in range(2)]
-        supervisor = ShardSupervisor(
-            shards=0,
-            devices=("rtx4090",),
-            connect=tuple(address for address, _ in listeners),
-            max_protocol=protocol.PROTOCOL_VERSION,
-            tracer=Tracer(sample_rate=1.0),
-        )
-        try:
-            result = supervisor.serve(PINNED)
-            assert result.artifact is not None
-            spans = supervisor.drain_spans()
-            names = {one.name for one in spans}
-            assert {"cluster.request", "shard.serve", "serve.compile"} <= names
-            assert len({one.trace_id for one in spans}) == 1
-        finally:
-            supervisor.close()
-            for address, thread in listeners:
-                shut_down_listener(address, thread)
-
-
 class TestAdditiveProtocolField:
     """The wire-format interop contracts, without needing an old binary."""
 
     CALL = protocol.ServeCall(request_id=7, request=PINNED)
 
     def test_untraced_envelope_is_byte_identical_to_pre_tracing_wire(self):
-        # trace=None must not emit a key: an untraced v2 supervisor talks
-        # to any peer exactly as the pre-tracing protocol did.
-        data = protocol.encode_message(self.CALL)
-        assert b'"trace"' not in data
+        # trace=None must not emit a key: an untraced supervisor sends
+        # exactly what the pre-tracing protocol did.
+        head, _ = split_container(protocol.encode_message(self.CALL))
+        assert "trace" not in head["payload"]
 
     def test_payload_without_the_field_decodes_as_untraced(self):
-        # What a v1 peer that predates tracing sends.
         data = protocol.encode_message(self.CALL)
         decoded = protocol.decode_message(data)
         assert decoded.trace is None
         assert decoded.request == PINNED
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_traced_envelope_roundtrips_on_both_versions(self, version):
+    def test_traced_envelope_roundtrips(self):
         field = {"id": "abc123", "span": "1f.1", "sampled": True}
         call = protocol.ServeCall(request_id=8, request=PINNED, trace=field)
-        decoded = protocol.decode_message(
-            protocol.encode_message(call, version=version)
-        )
+        decoded = protocol.decode_message(protocol.encode_message(call))
         assert decoded.trace == field
 
     def test_malformed_trace_field_decodes_as_untraced(self):
         call = protocol.ServeCall(request_id=9, request=PINNED, trace={"id": "x"})
-        encoded = protocol.encode_message(call)
-        data = encoded.replace(b'{"id": "x"}', b'"garbage"')
-        assert data != encoded  # the corruption actually landed
-        decoded = protocol.decode_message(data)
+        head, tail = split_container(protocol.encode_message(call))
+        head["payload"]["trace"] = "garbage"
+        decoded = protocol.decode_message(join_container(head, tail))
         assert decoded.trace is None
+        assert decoded.request == PINNED
 
     def test_stats_call_drain_flag_defaults_off_for_old_peers(self):
-        data = protocol.encode_message(protocol.StatsCall(request_id=1))
-        assert b"drain_spans" in data  # new field rides the envelope
-        decoded = protocol.decode_message(data)
+        head, _ = split_container(protocol.encode_message(protocol.StatsCall(request_id=1)))
+        assert "drain_spans" in head["payload"]  # the flag rides the head
+        del head["payload"]["drain_spans"]
+        decoded = protocol.decode_message(join_container(head))
         assert decoded.drain_spans is False
 
     def test_stats_reply_spans_ride_only_when_present(self):
@@ -212,7 +186,7 @@ class TestAdditiveProtocolField:
             cold_histogram=(0,) * 26,
         )
         empty = protocol.StatsReply(request_id=1, stats=stats)
-        assert b'"spans"' not in protocol.encode_message(empty)
+        assert "spans" not in split_container(protocol.encode_message(empty))[0]["payload"]
         assert protocol.decode_message(protocol.encode_message(empty)).spans == ()
 
         loaded = dataclasses.replace(
