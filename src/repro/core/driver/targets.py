@@ -3,13 +3,15 @@
 A :class:`Target` bundles what a backend needs to participate in the driver:
 a name, the machine word widths it supports, an optional :class:`CTypes`
 hook (for the C-family backends), and the emit hook that turns a legalized
-kernel into the target's artifact — a CUDA/C translation unit (string) or an
-executable :class:`~repro.core.codegen.python_exec.CompiledKernel`.
+kernel into the target's artifact — a CUDA/C translation unit (string), an
+executable :class:`~repro.core.codegen.python_exec.CompiledKernel`, or a
+:class:`~repro.core.codegen.native.NativeKernel` built for this machine.
 
-The three seed backends (``cuda``, ``c99``, ``python_exec``) are registered
-at import time; new backends (a PTX emitter, an OpenCL port, ...) register
-themselves with :func:`register_target` and immediately become reachable
-through :func:`emit` and :class:`~repro.core.driver.session.CompilerSession`.
+The four backends (``cuda``, ``c99``, ``python_exec``, ``native``) are
+registered at import time; new backends (a PTX emitter, an OpenCL port,
+...) register themselves with :func:`register_target` and immediately
+become reachable through :func:`emit` and
+:class:`~repro.core.driver.session.CompilerSession`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.errors import DriverError, UnknownTargetError
 from repro.core.codegen.c99 import generate_c99
 from repro.core.codegen.common import CTypes
 from repro.core.codegen.cuda import generate_cuda
+from repro.core.codegen.native import WORD_BITS as NATIVE_WORD_BITS, compile_native
 from repro.core.codegen.python_exec import compile_kernel
 from repro.core.ir.kernel import Kernel
 
@@ -32,13 +35,16 @@ class Target:
     """One compilation backend, as seen by the driver.
 
     Attributes:
-        name: registry key (``"cuda"``, ``"c99"``, ``"python_exec"``, ...).
+        name: registry key (``"cuda"``, ``"c99"``, ``"python_exec"``,
+            ``"native"``, ...).
         description: one-line description shown in target listings.
         emit: hook mapping a legalized :class:`Kernel` to the target artifact.
         word_bits: machine word widths the backend accepts; empty means any.
         ctypes: optional hook mapping a word width to the backend's
             :class:`CTypes` (C-family backends only).
-        artifact: what ``emit`` returns — ``"source"`` or ``"callable"``.
+        artifact: what ``emit`` returns — ``"source"``, ``"callable"``, or
+            ``"library"`` (a shared library loaded into this process, which
+            never leaves it).
     """
 
     name: str
@@ -125,5 +131,15 @@ register_target(
         description="executable Python backend (CompiledKernel)",
         emit=compile_kernel,
         artifact="callable",
+    )
+)
+register_target(
+    Target(
+        name="native",
+        description="the c99 unit built with the host `cc` and loaded (NativeKernel)",
+        emit=compile_native,
+        word_bits=NATIVE_WORD_BITS,
+        ctypes=CTypes.for_word_bits,
+        artifact="library",
     )
 )

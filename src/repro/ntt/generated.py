@@ -2,9 +2,16 @@
 
 :class:`GeneratedNTT` is the "runs the generated code" path of the
 reproduction: every butterfly executes the legalized machine-word kernel
-produced by the MoMA rewrite system (through the Python execution backend),
-so a forward/inverse round trip here validates the entire code-generation
-pipeline on a real transform, not just on isolated scalar operations.
+produced by the MoMA rewrite system, so a forward/inverse round trip here
+validates the entire code-generation pipeline on a real transform, not just
+on isolated scalar operations.
+
+Where the machine has a C compiler (``cc`` on ``PATH``) and the kernel uses
+32- or 64-bit words, a transform is one call into the ``native`` target's
+whole-transform entry point: validate, permute and pack once, run every
+stage in C, unpack (and scale the inverse by ``n^{-1}``).  Elsewhere each
+butterfly is one call of the ``python_exec`` kernel, which stays the
+reference backend.
 """
 
 from __future__ import annotations
@@ -12,12 +19,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import KernelError
+from repro.core.codegen.native import native_build
 from repro.core.codegen.python_exec import CompiledKernel
 from repro.core.driver import CompilerSession
 from repro.kernels.config import KernelConfig
 from repro.kernels.ntt_gen import compile_butterfly_kernel
-from repro.ntt.iterative import ntt_forward, ntt_inverse
-from repro.ntt.planner import NTTPlan, make_plan
+from repro.ntt.iterative import check_coefficients, ntt_forward, ntt_inverse, scale_inverse
+from repro.ntt.planner import NTTPlan, bit_reverse_permutation, make_plan
 
 __all__ = ["GeneratedNTT"]
 
@@ -90,6 +98,13 @@ class GeneratedNTT:
             if served is not None
             else compile_butterfly_kernel(config, session=session)
         )
+        self._native = native_build(self._kernel.kernel)
+        if self._native is not None:
+            self._permutation = bit_reverse_permutation(size)
+            self._twiddles = {
+                "forward": self._native.pack("w", self.plan.forward_twiddles()),
+                "inverse": self._native.pack("w", self.plan.inverse_twiddles()),
+            }
 
     @property
     def size(self) -> int:
@@ -103,20 +118,37 @@ class GeneratedNTT:
 
     @property
     def compiled_kernel(self) -> CompiledKernel:
-        """The compiled butterfly (exposed for inspection and costing)."""
+        """The ``python_exec`` butterfly (exposed for inspection and costing)."""
         return self._kernel
+
+    @property
+    def backend(self) -> str:
+        """What runs the transforms: ``"native"`` or ``"python_exec"``."""
+        return "python_exec" if self._native is None else "native"
 
     def _butterfly(self, x: int, y: int, twiddle: int, plan: NTTPlan) -> tuple[int, int]:
         out = self._kernel(x=x, y=y, w=twiddle, q=plan.modulus, mu=plan.mu)
         return out["x_out"], out["y_out"]
 
+    def _run_native(self, values: Sequence[int], direction: str) -> list[int]:
+        check_coefficients(values, self.plan)
+        return self._native.transform(
+            [values[index] for index in self._permutation],
+            self._twiddles[direction],
+            {"q": self.plan.modulus, "mu": self.plan.mu},
+        )
+
     def forward(self, values: Sequence[int]) -> list[int]:
         """Forward NTT using generated butterflies."""
-        return ntt_forward(values, self.plan, self._butterfly)
+        if self._native is None:
+            return ntt_forward(values, self.plan, self._butterfly)
+        return self._run_native(values, "forward")
 
     def inverse(self, values: Sequence[int]) -> list[int]:
         """Inverse NTT using generated butterflies."""
-        return ntt_inverse(values, self.plan, self._butterfly)
+        if self._native is None:
+            return ntt_inverse(values, self.plan, self._butterfly)
+        return scale_inverse(self._run_native(values, "inverse"), self.plan)
 
     def polynomial_multiply(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Cyclic convolution of two length-``n`` coefficient vectors.

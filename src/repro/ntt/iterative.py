@@ -12,6 +12,10 @@ The butterfly itself is pluggable:
   used as the fast path and by the baselines), and
 * a MoMA-generated butterfly (``repro.ntt.generated``) runs the exact
   machine-word code the CUDA backend emits, via the Python execution backend.
+
+The native target (:mod:`repro.core.codegen.native`) emits this same network
+as one C loop nest; :func:`check_coefficients` and :func:`scale_inverse` are
+shared with it so both paths validate and scale identically.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from collections.abc import Callable, Sequence
 from repro.errors import KernelError
 from repro.ntt.planner import NTTPlan, bit_reverse_permutation
 
-__all__ = ["Butterfly", "ntt_forward", "ntt_inverse", "reference_butterfly"]
+__all__ = [
+    "Butterfly",
+    "check_coefficients",
+    "ntt_forward",
+    "ntt_inverse",
+    "reference_butterfly",
+    "scale_inverse",
+]
 
 #: A butterfly callable: (x, y, twiddle, plan) -> (x', y').
 Butterfly = Callable[[int, int, int, NTTPlan], tuple[int, int]]
@@ -34,12 +45,9 @@ def reference_butterfly(x: int, y: int, twiddle: int, plan: NTTPlan) -> tuple[in
     return (x + scaled) % q, (x - scaled) % q
 
 
-def _transform(
-    values: Sequence[int],
-    plan: NTTPlan,
-    root: int,
-    butterfly: Butterfly,
-) -> list[int]:
+def check_coefficients(values: Sequence[int], plan: NTTPlan) -> None:
+    """Raise :class:`KernelError` unless ``values`` is ``plan.size``
+    coefficients reduced modulo the plan's prime."""
     size = plan.size
     q = plan.modulus
     if len(values) != size:
@@ -48,6 +56,23 @@ def _transform(
         if not 0 <= value < q:
             raise KernelError(f"coefficient {index} is not reduced modulo q")
 
+
+def scale_inverse(values: Sequence[int], plan: NTTPlan) -> list[int]:
+    """The inverse transform's final ``n^{-1}`` scaling."""
+    q = plan.modulus
+    scale = plan.size_inverse
+    return [(value * scale) % q for value in values]
+
+
+def _transform(
+    values: Sequence[int],
+    plan: NTTPlan,
+    root: int,
+    butterfly: Butterfly,
+) -> list[int]:
+    check_coefficients(values, plan)
+    size = plan.size
+    q = plan.modulus
     permutation = bit_reverse_permutation(size)
     data = [values[permutation[index]] for index in range(size)]
 
@@ -79,7 +104,4 @@ def ntt_inverse(
     values: Sequence[int], plan: NTTPlan, butterfly: Butterfly = reference_butterfly
 ) -> list[int]:
     """Inverse NTT: the same network with the inverse root plus ``n^{-1}`` scaling."""
-    transformed = _transform(values, plan, plan.inverse_root, butterfly)
-    q = plan.modulus
-    scale = plan.size_inverse
-    return [(value * scale) % q for value in transformed]
+    return scale_inverse(_transform(values, plan, plan.inverse_root, butterfly), plan)

@@ -6,9 +6,12 @@ execution engines:
 
 * :class:`PythonBlasEngine` — Python integer arithmetic (the role GMP plays
   on the CPU in the paper's comparison), and
-* :class:`MomaBlasEngine` — the MoMA-generated machine-word kernels executed
-  through the Python backend, i.e. the code the CUDA backend would run one
-  element per thread.
+* :class:`MomaBlasEngine` — the MoMA-generated machine-word kernels, i.e.
+  the code the CUDA backend would run one element per thread.  Where the
+  machine has a C compiler (``cc`` on ``PATH``) and the kernel uses 32- or
+  64-bit words, each vector call is one call into the ``native`` target's
+  ``_batch`` loop (validate, pack, call, unpack); elsewhere each element is
+  one call of the ``python_exec`` kernel, which stays the reference backend.
 
 Both produce identical values; the GPU cost model (:mod:`repro.gpu`) and the
 wall-clock benchmarks quantify the difference in *how* they compute them.
@@ -20,6 +23,7 @@ from collections.abc import Sequence
 
 from repro.errors import ArithmeticDomainError
 from repro.arith.barrett import BarrettParams
+from repro.core.codegen.native import native_build
 from repro.core.driver import CompilerSession
 from repro.kernels.blas_gen import compile_blas_kernel
 from repro.kernels.config import KernelConfig
@@ -96,7 +100,7 @@ class PythonBlasEngine(BlasEngine):
 
 
 class MomaBlasEngine(BlasEngine):
-    """Engine that runs the MoMA-generated machine-word kernels per element.
+    """Engine that runs the MoMA-generated machine-word kernels.
 
     Args:
         config: operand-width configuration; the modulus used at call time
@@ -120,6 +124,7 @@ class MomaBlasEngine(BlasEngine):
         operation_configs: the configuration each operation's kernel was
             actually generated with (differs from ``config`` only when
             ``autotune=True`` picked a different algorithm or word width).
+        backend: what runs the vectors — ``"native"`` or ``"python_exec"``.
     """
 
     def __init__(
@@ -146,48 +151,60 @@ class MomaBlasEngine(BlasEngine):
             ).items():
                 self.operation_configs[operation] = result.config
                 self._kernels[operation] = result.artifact
-            return
-        for operation in operations:
-            generated = config
-            if autotune:
-                # Imported lazily: repro.tune drives this module's frontends.
-                from repro.kernels.blas_gen import _autotuned_config
+        else:
+            for operation in operations:
+                generated = config
+                if autotune:
+                    # Imported lazily: repro.tune drives this module's frontends.
+                    from repro.kernels.blas_gen import _autotuned_config
 
-                generated = _autotuned_config(
-                    operation, config, session, device, tuning_db
+                    generated = _autotuned_config(
+                        operation, config, session, device, tuning_db
+                    )
+                self.operation_configs[operation] = generated
+                self._kernels[operation] = compile_blas_kernel(
+                    operation, generated, session=session
                 )
-            self.operation_configs[operation] = generated
-            self._kernels[operation] = compile_blas_kernel(
-                operation, generated, session=session
-            )
+        self._native = {
+            operation: native_build(kernel.kernel) for operation, kernel in self._kernels.items()
+        }
+        if None in self._native.values():
+            self._native = {}
+
+    @property
+    def backend(self) -> str:
+        """What runs the vectors: ``"native"`` or ``"python_exec"``."""
+        return "native" if self._native else "python_exec"
 
     def _mu(self, q: int) -> int:
         modulus_bits = self.config.effective_modulus_bits
         params = BarrettParams.create(q, modulus_bits + 4, modulus_bits)
         return params.mu
 
+    def _run(self, operation: str, x, y, **scalars: int) -> list[int]:
+        """``z`` for every element: one native batch call, or one
+        ``python_exec`` kernel call per element."""
+        if self._native:
+            return self._native[operation].batch({"x": x, "y": y}, scalars)["z"]
+        kernel = self._kernels[operation]
+        return [kernel(x=a, y=b, **scalars)["z"] for a, b in zip(x, y)]
+
     def vadd(self, x, y, q):
         _check_vectors(q, x, y)
-        kernel = self._kernels["vadd"]
-        return [kernel(x=a, y=b, q=q)["z"] for a, b in zip(x, y)]
+        return self._run("vadd", x, y, q=q)
 
     def vsub(self, x, y, q):
         _check_vectors(q, x, y)
-        kernel = self._kernels["vsub"]
-        return [kernel(x=a, y=b, q=q)["z"] for a, b in zip(x, y)]
+        return self._run("vsub", x, y, q=q)
 
     def vmul(self, x, y, q):
         _check_vectors(q, x, y)
-        kernel = self._kernels["vmul"]
-        mu = self._mu(q)
-        return [kernel(x=a, y=b, q=q, mu=mu)["z"] for a, b in zip(x, y)]
+        return self._run("vmul", x, y, q=q, mu=self._mu(q))
 
     def axpy(self, scale, x, y, q):
         _check_vectors(q, x, y)
         _check_scalar(scale, q)
-        kernel = self._kernels["axpy"]
-        mu = self._mu(q)
-        return [kernel(x=a, y=b, a=scale, q=q, mu=mu)["z"] for a, b in zip(x, y)]
+        return self._run("axpy", x, y, a=scale, q=q, mu=self._mu(q))
 
 
 _DEFAULT_ENGINE = PythonBlasEngine()

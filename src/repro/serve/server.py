@@ -31,8 +31,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.errors import ServingError
-from repro.core.driver import CompilerSession
+from repro.errors import ServingError, UnknownTargetError
+from repro.core.driver import CompilerSession, get_target
 from repro.core.driver.cache import ContentAddressedCache
 from repro.kernels.config import KernelConfig
 from repro.obs import trace as tracing
@@ -42,7 +42,27 @@ from repro.tune.space import BLAS, NTT, Workload
 from repro.tune.tuner import Autotuner, TuningResult
 from repro.serve.metrics import MetricsSnapshot, ServerMetrics
 
-__all__ = ["ServeRequest", "ServeResult", "KernelServer", "serve_key"]
+__all__ = ["ServeRequest", "ServeResult", "KernelServer", "check_servable", "serve_key"]
+
+
+def check_servable(request: ServeRequest) -> None:
+    """Refuse, before any work, a target whose artifact is a ``library``.
+
+    A library is loaded into the process that builds it: it cannot cross
+    the wire, and building one would run the C compiler for whoever sent
+    the request.  Unknown targets pass here and fail where they always
+    have, in the compile.
+    """
+    try:
+        artifact = get_target(request.target).artifact
+    except UnknownTargetError:
+        return
+    if artifact == "library":
+        raise ServingError(
+            f"target {request.target!r} cannot be served: its artifact is a "
+            f"library loaded into the process that builds it; request 'c99' "
+            f"source or 'python_exec' and build it on the caller's side"
+        )
 
 
 def serve_key(tenant: str, request: ServeRequest) -> str:
@@ -73,7 +93,9 @@ class ServeRequest:
         modulus_bits: modulus width; ``None`` follows the paper's ``bits - 4``
             convention.
         device: device the tuned configuration is optimized for.
-        target: backend artifact to serve (``python_exec``/``cuda``/``c99``).
+        target: backend artifact to serve (``python_exec``/``cuda``/``c99``;
+            a ``library`` target such as ``native`` is refused by
+            :func:`check_servable`).
         tune: serve the autotuned winner (True) or the pinned configuration
             below (False).
         word_bits: machine word width used when ``tune=False``.
@@ -274,6 +296,7 @@ class KernelServer:
         """
         del deadline_ms  # enforced only on the sharded path
         validate_tenant(tenant)
+        check_servable(request)
         started = time.perf_counter()
         # One context-variable read decides whether this request is traced;
         # the untraced path pays nothing further for instrumentation.

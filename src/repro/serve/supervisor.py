@@ -78,7 +78,7 @@ from repro.tune.reconcile import (
 # any point of repro.serve's own package initialization.
 import repro.serve.protocol as protocol
 from repro.serve.metrics import WireProfile, WireSnapshot, percentile_from_histogram
-from repro.serve.server import ServeRequest, ServeResult
+from repro.serve.server import ServeRequest, ServeResult, check_servable
 from repro.serve.shard import DEFAULT_VIRTUAL_NODES, ShardRouter, run_shard
 
 __all__ = ["ClusterStats", "ShardSupervisor"]
@@ -1093,6 +1093,7 @@ class ShardSupervisor:
                 f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )
         validate_tenant(tenant)
+        check_servable(request)
         with self._lock:
             if self._closed:
                 raise ServingError("shard supervisor is closed")

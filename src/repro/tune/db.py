@@ -16,10 +16,12 @@ Winning configurations are remembered so a workload is searched once per
 * each record stores the winning candidate, its modeled score, the paper-
   default baseline, and search provenance (strategy, evaluations scored,
   space size, creation time);
-* the JSON file is written atomically (temp file + ``os.replace``), and every
-  save first *merges* the current on-disk records (newest ``created_at`` per
-  key wins) so parallel tuners writing to one database file cannot drop each
-  other's winners — a crashed run can never corrupt previously saved ones;
+* the JSON file is written atomically (a unique temp file + ``os.replace``),
+  and every save first *merges* the current on-disk records (newest
+  ``created_at`` per key wins) while holding the file's lock
+  (:func:`repro.atomic_files.path_lock`), so parallel tuners writing to one
+  database file cannot drop each other's winners — a crashed run can never
+  corrupt previously saved ones;
 * lookups are counted (:meth:`TuningDatabase.stats`), which is how the
   harnesses verify that a warm database skips the search entirely.
 
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.atomic_files import path_lock, replace_atomically
 from repro.errors import TuningError
 from repro.core.rewrite.options import KARATSUBA, SCHOOLBOOK
 from repro.tenancy import DEFAULT_TENANT, qualify_key, validate_tenant
@@ -350,14 +352,17 @@ class TuningDatabase:
     def save(self) -> None:
         """Atomically write the database to its file (no-op when in-memory).
 
-        Concurrent-writer safe: the current on-disk records are merged in
-        (newest ``created_at`` per key wins) before the atomic replace, so
-        two processes tuning different workloads against one file both keep
-        their winners regardless of save order.
+        Concurrent-writer safe: under the file's lock (threads and
+        processes alike), the current on-disk records are merged in (newest
+        ``created_at`` per key wins) before the atomic replace, so two
+        writers tuning different workloads against one file both keep their
+        winners regardless of save order.
         """
         if self.path is None:
             return
-        with self._lock:
+        # The path lock spans merge -> write -> replace: a writer that merged
+        # before another's replace landed would otherwise drop its records.
+        with self._lock, path_lock(self.path):
             self._merge_from_disk()
             payload = {
                 "schema": _SCHEMA_VERSION,
@@ -367,10 +372,9 @@ class TuningDatabase:
                 },
                 "dropped": dict(sorted(self._dropped.items())),
             }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-            temporary.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            os.replace(temporary, self.path)
+            replace_atomically(
+                self.path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+            )
 
     @staticmethod
     def timestamp() -> float:

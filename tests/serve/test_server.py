@@ -145,6 +145,15 @@ class TestLifecycleAndErrors:
             server.serve(_request(size=3))  # not a power of two
         assert server.metrics_snapshot().cold_serves == 0
 
+    def test_native_target_refused_before_any_compile(self, server):
+        # A loaded shared library can neither cross the wire nor be built
+        # for a caller: the request fails synchronously at the front door.
+        with pytest.raises(ServingError, match="native"):
+            server.submit(_request(target="native", tune=False))
+        assert server.session.stats().records == []
+        assert server.metrics_snapshot().requests == 0
+        assert server.serve(_request(tune=False)).request.target == "python_exec"
+
     def test_closed_server_rejects_requests(self):
         server = KernelServer(devices=("rtx4090",))
         server.close()

@@ -8,6 +8,7 @@ These tests spawn OS processes and are the slowest in the suite — one
 module-scoped cluster serves all the read-mostly tests.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -206,6 +207,15 @@ class TestRobustness:
             assert not handle.pending
         finally:
             supervisor.close()
+
+    def test_native_target_refused_and_the_shard_keeps_serving(self):
+        with ShardSupervisor(shards=1, devices=("rtx4090",), workers=1) as supervisor:
+            request = ServeRequest(kind="blas", bits=128, operation="vadd", tune=False)
+            with pytest.raises(ServingError, match="native"):
+                supervisor.submit(dataclasses.replace(request, target="native"))
+            assert supervisor.routed_counts() == {}
+            assert supervisor.serve(request).request == request
+            assert set(supervisor.ping()) == {0}
 
     def test_spawned_shard_never_unpickles_what_it_receives(self, tmp_path):
         # The spawned shard's link has pickled trust, which governs only

@@ -433,6 +433,44 @@ class TestShardNeverUnpickles:
         assert not marker.exists()
 
 
+class TestShardRefusesNativeTarget:
+    def test_native_request_from_a_remote_caller_runs_no_compiler(self, monkeypatch):
+        # A peer that skips the supervisor's check still gets a typed
+        # refusal from the shard, which never builds and keeps serving.
+        import repro.core.codegen.native as native
+
+        def compiler_must_not_run(*args, **kwargs):  # pragma: no cover - the failure
+            raise AssertionError("the shard ran the C compiler")
+
+        monkeypatch.setattr(native, "_compile", compiler_must_not_run)
+        request = ServeRequest(kind="blas", bits=128, operation="vadd", tune=False)
+        address, thread = start_listener()
+        try:
+            connection = protocol.StreamConnection(socket.create_connection(address, timeout=5))
+            try:
+                hello(connection)
+                replies = []
+                for request_id, target in ((5, "native"), (6, "cuda")):
+                    connection.send_bytes(
+                        protocol.encode_message(
+                            protocol.ServeCall(
+                                request_id=request_id,
+                                request=dataclasses.replace(request, target=target),
+                            )
+                        )
+                    )
+                    replies.append(protocol.decode_message(connection.recv_bytes()))
+            finally:
+                connection.close()
+        finally:
+            shut_down_listener(address, thread)
+        refused, served = replies
+        assert isinstance(refused, protocol.ErrorReply)
+        assert refused.error_type == "ServingError" and "native" in refused.message
+        assert isinstance(served, protocol.ServeReply)
+        assert "__global__" in served.result.artifact
+
+
 class TestMixedRing:
     def test_local_and_remote_shards_share_one_ring(self):
         address, thread = start_listener(shard_id=0)

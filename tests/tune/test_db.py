@@ -1,6 +1,8 @@
 """Tests for the persistent tuning database (round trips, atomicity, counters)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -110,7 +112,10 @@ class TestDatabase:
         path = tmp_path / "tuning.json"
         db = TuningDatabase(path)
         db.store(make_record(workload))
-        leftovers = [p for p in tmp_path.iterdir() if p.name != "tuning.json"]
+        # The lock sidecar is meant to stay; no temporary file may.
+        leftovers = [
+            p for p in tmp_path.iterdir() if p.name not in ("tuning.json", "tuning.json.lock")
+        ]
         assert leftovers == []
         # The file is valid JSON with the schema header.
         payload = json.loads(path.read_text())
@@ -148,3 +153,40 @@ class TestDatabase:
         db = TuningDatabase(path)
         db.store(make_record(workload))
         assert path.exists()
+
+
+class TestConcurrentSaves:
+    def test_barrier_synchronized_saves_keep_every_record(self, tmp_path):
+        # Instances over one file save at the same instant, trial after
+        # trial: no save may raise, lose another writer's record, or leave
+        # a file that does not parse.
+        records = [
+            make_record(Workload(kind="ntt", bits=bits, size=16)) for bits in (64, 128, 192, 256)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(40):
+                path = tmp_path / f"trial{trial}.json"
+                barrier = threading.Barrier(len(records))
+                errors = []
+
+                def writer(record):
+                    db = TuningDatabase(path)
+                    db.store(record, save=False)
+                    barrier.wait(timeout=10)
+                    try:
+                        db.save()
+                    except Exception as error:  # noqa: BLE001 - the failure mode
+                        errors.append(error)
+
+                threads = [threading.Thread(target=writer, args=(record,)) for record in records]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert len(TuningDatabase(path)) == len(records), f"trial {trial}"
+        finally:
+            sys.setswitchinterval(previous)

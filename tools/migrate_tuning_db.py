@@ -31,15 +31,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
+from repro.atomic_files import replace_atomically  # noqa: E402
 from repro.errors import TuningError  # noqa: E402
 from repro.tenancy import DEFAULT_TENANT, qualify_key, validate_tenant  # noqa: E402
 from repro.tune.db import _SCHEMA_VERSION, TuningDatabase  # noqa: E402
@@ -85,19 +84,7 @@ def migrate_file(path: Path, tenant: str, check: bool) -> tuple[int, int]:
             "records": migrated,
             "dropped": migrated_dropped,
         }
-        handle, temp_path = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(document, stream, indent=1, sort_keys=True)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        replace_atomically(path, json.dumps(document, indent=1, sort_keys=True).encode())
     return len(records), changed
 
 
