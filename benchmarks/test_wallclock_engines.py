@@ -7,13 +7,12 @@ backend, (ii) Python's arbitrary-precision integers (the GMP stand-in), and
 (iii) the RNS/GRNS-style baseline.
 
 ``test_native_ntt_beats_bigint`` is the wall-clock counterpart of Fig. 2 and
-Fig. 3: it records ns per element of the ``vmul`` kernel (pack, limb
-compute, unpack) and ns per butterfly of a whole forward NTT, for bigint,
-``python_exec`` and native at 128 to 1,024 bits, and holds the paper's claim
-as a floor — a whole native NTT beats bigints at 256 bits and above.  There
-is no BLAS floor: at the engines' list-of-ints API, converting every element
-between a Python int and its limbs keeps native ``vmul`` near parity with
-bigints at 384 and 768 bits.
+Fig. 3: it records ns per element of ``vmul`` and ns per butterfly of a
+whole forward NTT, for bigint, ``python_exec`` and native at 128 to 1,024
+bits, and holds the paper's claims as floors.  Native ``vmul`` runs through
+``MomaBlasEngine.vmul``, so its time includes checking, packing and
+unpacking every element; it must beat ``BigIntBaseline.vmul`` at every
+width.  A whole native NTT must beat bigints at 256 bits and above.
 """
 
 import random
@@ -23,7 +22,6 @@ import time
 import pytest
 
 from repro.baselines import BigIntBaseline, GrnsBaseline
-from repro.core.codegen.native import native_build
 from repro.kernels import KernelConfig, compile_blas_kernel
 from repro.ntheory import find_ntt_prime
 from repro.ntt.generated import GeneratedNTT
@@ -41,6 +39,8 @@ WIDTHS = (128, 256, 384, 768, 1024)
 FLOOR_WIDTHS = (256, 384, 768, 1024)
 #: Required bigint/native time ratio of a whole NTT (before floor_scale).
 REQUIRED_NTT_SPEEDUP = 2.0
+#: Required bigint/native time ratio of vmul at every width (before floor_scale).
+REQUIRED_VMUL_SPEEDUP = 1.0
 #: Vector and transform lengths: native and bigint run the long ones;
 #: python_exec, thousands of times slower per unit, the short ones.
 ELEMENTS = 1024
@@ -104,14 +104,13 @@ def _measure_width(bits):
     y = [rng.randrange(q) for _ in range(ELEMENTS)]
     expected = [(a * b) % q for a, b in zip(x, y)]
     kernel = compile_blas_kernel("vmul", config)
-    built = native_build(kernel.kernel)
+    engine = MomaBlasEngine(config)
+    assert engine.backend == "native"
     few = PYTHON_EXEC_ELEMENTS
 
     vmul = {}
     vmul["bigint"], _ = _fastest(lambda: bigint.vmul(x, y, q), 5)
-    vmul["native"], result = _fastest(
-        lambda: built.batch({"x": x, "y": y}, {"q": q, "mu": plan.mu})["z"], 5
-    )
+    vmul["native"], result = _fastest(lambda: engine.vmul(x, y, q), 5)
     assert result == expected
     vmul["python_exec"], result = _fastest(
         lambda: [kernel(x=a, y=b, q=q, mu=plan.mu)["z"] for a, b in zip(x[:few], y[:few])], 1
@@ -152,6 +151,7 @@ def _measure_width(bits):
 def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
     measured = run_once(lambda: {bits: _measure_width(bits) for bits in WIDTHS})
     floor = REQUIRED_NTT_SPEEDUP * floor_scale
+    vmul_floor = REQUIRED_VMUL_SPEEDUP * floor_scale
     print()
     for bits, (per_element, per_butterfly) in measured.items():
         for engine in ("bigint", "python_exec", "native"):
@@ -164,6 +164,15 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
             f"python_exec {per_butterfly['python_exec']:10.0f}  native {per_butterfly['native']:8.0f}"
         )
     benchmark.extra_info["floor_ntt_speedup"] = floor
+    benchmark.extra_info["floor_vmul_speedup"] = vmul_floor
+    for bits in WIDTHS:
+        per_element = measured[bits][0]
+        speedup = per_element["bigint"] / per_element["native"]
+        benchmark.extra_info[f"vmul_speedup_{bits}"] = speedup
+        assert speedup >= vmul_floor, (
+            f"native {bits}-bit vmul is only {speedup:.2f}x as fast as bigints; "
+            f"expected at least {vmul_floor:g}x ({REQUIRED_VMUL_SPEEDUP}x x {floor_scale:g})"
+        )
     for bits in FLOOR_WIDTHS:
         per_butterfly = measured[bits][1]
         speedup = per_butterfly["bigint"] / per_butterfly["native"]

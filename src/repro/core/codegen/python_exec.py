@@ -162,7 +162,11 @@ class CompiledKernel:
                 raise CodegenError(f"missing value for parameter {name!r}")
             value = values[name]
             limit = effective if effective is not None else bits
-            if value < 0 or value.bit_length() > limit:
+            try:
+                fits = 0 <= value and value.bit_length() <= limit
+            except (AttributeError, TypeError):  # not an int
+                fits = False
+            if not fits:
                 raise CodegenError(
                     f"value for {name!r} must be a non-negative integer of at "
                     f"most {limit} bits"

@@ -6,19 +6,20 @@ produced by the MoMA rewrite system, so a forward/inverse round trip here
 validates the entire code-generation pipeline on a real transform, not just
 on isolated scalar operations.
 
-Where the machine has a C compiler (``cc`` on ``PATH``) and the kernel uses
-32- or 64-bit words, a transform is one call into the ``native`` target's
-whole-transform entry point: validate, permute and pack once, run every
-stage in C, unpack (and scale the inverse by ``n^{-1}``).  Elsewhere each
-butterfly is one call of the ``python_exec`` kernel, which stays the
-reference backend.
+Where the machine has a C compiler (``cc`` on ``PATH``) and the
+interpreter's C headers, and the kernel uses 32- or 64-bit words, a
+transform is one call into the ``native`` target's whole-transform entry
+point: validate, permute and pack in one C pass, run every stage in C,
+unpack (and scale the inverse by ``n^{-1}``).  Elsewhere each butterfly is
+one call of the ``python_exec`` kernel, which stays the reference backend.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 
-from repro.errors import KernelError
+from repro.errors import CodegenError, KernelError
 from repro.core.codegen.native import native_build
 from repro.core.codegen.python_exec import CompiledKernel
 from repro.core.driver import CompilerSession
@@ -100,7 +101,7 @@ class GeneratedNTT:
         )
         self._native = native_build(self._kernel.kernel)
         if self._native is not None:
-            self._permutation = bit_reverse_permutation(size)
+            self._permutation = array("q", bit_reverse_permutation(size))
             self._twiddles = {
                 "forward": self._native.pack("w", self.plan.forward_twiddles()),
                 "inverse": self._native.pack("w", self.plan.inverse_twiddles()),
@@ -131,12 +132,22 @@ class GeneratedNTT:
         return out["x_out"], out["y_out"]
 
     def _run_native(self, values: Sequence[int], direction: str) -> list[int]:
-        check_coefficients(values, self.plan)
-        return self._native.transform(
-            [values[index] for index in self._permutation],
-            self._twiddles[direction],
-            {"q": self.plan.modulus, "mu": self.plan.mu},
-        )
+        plan = self.plan
+        if len(values) != plan.size:
+            check_coefficients(values, plan)
+        try:
+            return self._native.transform(
+                values,
+                self._permutation,
+                self._twiddles[direction],
+                {"q": plan.modulus, "mu": plan.mu},
+                bound=plan.modulus,
+            )
+        except CodegenError:
+            # The Python check, run only on this path, names an unreduced
+            # coefficient; otherwise the refusal stands (not an int).
+            check_coefficients(values, plan)
+            raise
 
     def forward(self, values: Sequence[int]) -> list[int]:
         """Forward NTT using generated butterflies."""

@@ -8,10 +8,11 @@ execution engines:
   on the CPU in the paper's comparison), and
 * :class:`MomaBlasEngine` — the MoMA-generated machine-word kernels, i.e.
   the code the CUDA backend would run one element per thread.  Where the
-  machine has a C compiler (``cc`` on ``PATH``) and the kernel uses 32- or
-  64-bit words, each vector call is one call into the ``native`` target's
-  ``_batch`` loop (validate, pack, call, unpack); elsewhere each element is
-  one call of the ``python_exec`` kernel, which stays the reference backend.
+  machine has a C compiler (``cc`` on ``PATH``) and the interpreter's C
+  headers, and the kernel uses 32- or 64-bit words, each vector call is one
+  call into the ``native`` target's ``_batch`` loop: validate and pack in
+  one C pass, call, unpack.  Elsewhere each element is one call of the
+  ``python_exec`` kernel, which stays the reference backend.
 
 Both produce identical values; the GPU cost model (:mod:`repro.gpu`) and the
 wall-clock benchmarks quantify the difference in *how* they compute them.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import ArithmeticDomainError
+from repro.errors import ArithmeticDomainError, CodegenError
 from repro.arith.barrett import BarrettParams
 from repro.core.codegen.native import native_build
 from repro.core.driver import CompilerSession
@@ -181,28 +182,42 @@ class MomaBlasEngine(BlasEngine):
         params = BarrettParams.create(q, modulus_bits + 4, modulus_bits)
         return params.mu
 
+    def _check(self, q: int, x, y) -> None:
+        """The input checks that run before the kernels.  The native pass
+        checks each element itself, so here only the modulus and lengths."""
+        if not self._native or q < 3 or len(x) != len(y):
+            _check_vectors(q, x, y)
+
     def _run(self, operation: str, x, y, **scalars: int) -> list[int]:
         """``z`` for every element: one native batch call, or one
         ``python_exec`` kernel call per element."""
-        if self._native:
-            return self._native[operation].batch({"x": x, "y": y}, scalars)["z"]
-        kernel = self._kernels[operation]
-        return [kernel(x=a, y=b, **scalars)["z"] for a, b in zip(x, y)]
+        if not self._native:
+            kernel = self._kernels[operation]
+            return [kernel(x=a, y=b, **scalars)["z"] for a, b in zip(x, y)]
+        q = scalars["q"]
+        try:
+            return self._native[operation].batch({"x": x, "y": y}, scalars, bound=q)["z"]
+        except CodegenError:
+            # The Python check, run only on this path, names an unreduced
+            # element; otherwise the refusal stands (an element that is not
+            # an int, or a modulus wider than the kernel).
+            _check_vectors(q, x, y)
+            raise
 
     def vadd(self, x, y, q):
-        _check_vectors(q, x, y)
+        self._check(q, x, y)
         return self._run("vadd", x, y, q=q)
 
     def vsub(self, x, y, q):
-        _check_vectors(q, x, y)
+        self._check(q, x, y)
         return self._run("vsub", x, y, q=q)
 
     def vmul(self, x, y, q):
-        _check_vectors(q, x, y)
+        self._check(q, x, y)
         return self._run("vmul", x, y, q=q, mu=self._mu(q))
 
     def axpy(self, scale, x, y, q):
-        _check_vectors(q, x, y)
+        self._check(q, x, y)
         _check_scalar(scale, q)
         return self._run("axpy", x, y, a=scale, q=q, mu=self._mu(q))
 

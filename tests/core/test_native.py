@@ -7,12 +7,17 @@ multiplication algorithms and both word widths, but not their full cross
 product: ``gcc -O2`` alone takes about 24 s and 400 MB on the 1,024-bit
 Karatsuba ``vmul`` with 32-bit words.  Cache tests build into a private
 ``XDG_CACHE_HOME``; the rest share the user's cache, so a second run is warm.
+The conversion helper is built against the interpreter's headers, so the
+module also needs ``Python.h``.
 """
 
 import random
 import shutil
 import subprocess
+import sys
+import sysconfig
 import threading
+import tracemalloc
 
 import pytest
 
@@ -25,7 +30,10 @@ from repro.ntt.generated import GeneratedNTT
 from repro.ntt.iterative import ntt_forward, ntt_inverse
 from repro.poly.blas import MomaBlasEngine
 
-pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+pytestmark = [
+    pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH"),
+    pytest.mark.skipif(native._python_headers() is None, reason="no Python.h for this interpreter"),
+]
 
 ALL = ("vadd", "vsub", "vmul", "axpy")
 MUL = ("vmul", "axpy")
@@ -133,15 +141,28 @@ def test_ntt_round_trips_match_python_exec(session, bits, size):
 
 
 class TestBoundaryChecks:
-    """Every input check of the python_exec path still runs, same error types."""
+    """Every input check of the python_exec path still runs on the native
+    path, with the same error types and, for range faults, messages."""
 
     @pytest.fixture(scope="class")
-    def engines(self):
+    def engines(self, session):
         config = KernelConfig(bits=128)
-        return MomaBlasEngine(config), _without_compiler(lambda: MomaBlasEngine(config))
+        return (
+            MomaBlasEngine(config, session=session),
+            _without_compiler(lambda: MomaBlasEngine(config, session=session)),
+        )
 
-    def test_both_engines_run_their_backends(self, engines):
-        assert [engine.backend for engine in engines] == ["native", "python_exec"]
+    @pytest.fixture(scope="class")
+    def transforms(self, session):
+        config = KernelConfig(bits=128)
+        return (
+            GeneratedNTT(16, config, session=session),
+            _without_compiler(lambda: GeneratedNTT(16, config, session=session)),
+        )
+
+    def test_both_engines_run_their_backends(self, engines, transforms):
+        for pair in (engines, transforms):
+            assert [one.backend for one in pair] == ["native", "python_exec"]
 
     @pytest.mark.parametrize(
         "call",
@@ -149,14 +170,34 @@ class TestBoundaryChecks:
             lambda e, q: e.vadd([q], [0], q),
             lambda e, q: e.vsub([0, 1], [0], q),
             lambda e, q: e.vmul([-1], [0], q),
+            lambda e, q: e.vmul([0, 1 << 128], [0, 0], q),
+            lambda e, q: e.axpy(1, [0, 1], [0, q + 1], q),
             lambda e, q: e.axpy(q, [0], [0], q),
             lambda e, q: e.vadd([0], [0], 2),
+            lambda e, q: e.vmul([0], [0], 2),
         ],
     )
     def test_unreduced_or_mismatched_input(self, engines, call):
         q = (1 << 123) + 1
+        messages = []
         for engine in engines:
-            with pytest.raises(ArithmeticDomainError):
+            with pytest.raises(ArithmeticDomainError) as raised:
+                call(engine, q)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, q: e.vadd([1.5], [0], q),
+            lambda e, q: e.vmul([0, 1], [0, 2.0], q),
+            lambda e, q: e.axpy(1, [0], [0.5], q),
+        ],
+    )
+    def test_element_that_is_not_an_int(self, engines, call):
+        q = (1 << 123) + 1
+        for engine in engines:
+            with pytest.raises(CodegenError):
                 call(engine, q)
 
     def test_modulus_wider_than_the_kernel(self, engines):
@@ -166,13 +207,19 @@ class TestBoundaryChecks:
                 engine.vadd([1], [2], q)
             assert engine.vadd([], [], q) == []
 
-    def test_transform_length_and_range(self, session):
-        transform = GeneratedNTT(16, KernelConfig(bits=128), session=session)
-        assert transform.backend == "native"
-        with pytest.raises(KernelError):
-            transform.forward([0] * 8)
-        with pytest.raises(KernelError):
-            transform.inverse([transform.modulus] + [0] * 15)
+    def test_transform_length_and_range(self, transforms):
+        q = transforms[0].modulus
+        for transform in transforms:
+            with pytest.raises(KernelError, match="expected 16 coefficients, got 8"):
+                transform.forward([0] * 8)
+            with pytest.raises(KernelError, match="coefficient 3 is not reduced"):
+                transform.inverse([0, 1, 2, q] + [0] * 12)
+            with pytest.raises(KernelError, match="coefficient 5 is not reduced"):
+                transform.forward([0] * 5 + [-1] + [0] * 10)
+            with pytest.raises(CodegenError):
+                transform.forward([1.5] + [0] * 15)
+            with pytest.raises(CodegenError):
+                transform.inverse([0] * 15 + [0.5])
 
 
 def _without_compiler(build):
@@ -207,6 +254,114 @@ def test_no_compiler_falls_back_to_python_exec_without_a_process(session):
         assert fallback_ntt.inverse(values) == native_ntt.inverse(values)
 
 
+def test_no_headers_fall_back_to_python_exec_without_a_process(session, tmp_path, monkeypatch):
+    config = KernelConfig(bits=128)
+    kernel = compile_blas_kernel("vadd", config, session=session).kernel
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(
+        sysconfig,
+        "get_path",
+        lambda name, *args, **kwargs: str(tmp_path) if name == "include" else get_path(name, *args, **kwargs),
+    )
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    assert MomaBlasEngine(config, session=session).backend == "python_exec"
+    assert GeneratedNTT(16, config, session=session).backend == "python_exec"
+    assert native.native_build(kernel) is None
+    with pytest.raises(CodegenError, match="Python.h"):
+        native.compile_native(kernel)
+
+
+# -- the conversion helper ---------------------------------------------------------
+
+#: (bits, word_bits) of the vadd kernels the conversion tests pack for: both
+#: word widths, and the 384-bit operand whose 512-bit container prunes its
+#: top two 64-bit (four 32-bit) limbs.
+CONVERTER_CASES = [(128, 64), (128, 32), (384, 64), (384, 32)]
+
+
+@pytest.fixture(scope="module", params=CONVERTER_CASES, ids=[f"{b}w{w}" for b, w in CONVERTER_CASES])
+def packer(request, session):
+    """A vadd kernel's library, its configuration and its ``x`` limb counts
+    (kept, and the full container)."""
+    config = KernelConfig(bits=request.param[0], word_bits=request.param[1])
+    built = native.compile_native(compile_blas_kernel("vadd", config, session=session).kernel)
+    layout = built.kernel.metadata["param_layout"]["x"]
+    return built, config, sum(limb is not None for limb in layout), len(layout)
+
+
+def _limbs(value, limbs, word_bits):
+    """``value``'s ``limbs`` words, most significant first: the reference layout."""
+    mask = (1 << word_bits) - 1
+    return [(value >> (word_bits * (limbs - 1 - index))) & mask for index in range(limbs)]
+
+
+class _Index:
+    """Not an ``int``, though ``__index__`` would give one."""
+
+    def __index__(self):
+        return 1
+
+
+class TestConverter:
+    def test_round_trips_at_kept_limbs_and_full_container(self, packer):
+        built, config, kept, container = packer
+        word_bits = config.word_bits
+        for limbs in (kept, container):
+            values = [0, 1, (1 << word_bits) - 1, 1 << word_bits, (1 << limbs * word_bits) - 1]
+            for q in _moduli(config, random.Random(limbs)):
+                values += _edges(q, word_bits)
+            data = built._pack(values, limbs)
+            assert data.tolist() == [
+                limb for value in values for limb in _limbs(value, limbs, word_bits)
+            ]
+            assert built._unpack(data, limbs) == values
+
+    def test_refusals_name_the_first_bad_index(self, packer):
+        built, config, kept, _ = packer
+        q = _moduli(config, random.Random(0))[1]
+        too_wide = 1 << kept * config.word_bits
+        for bad, bound in [
+            (-1, None),
+            (-1, q),
+            (too_wide, None),
+            (too_wide, q),
+            (q, q),
+            (1.5, q),
+            (_Index(), None),
+        ]:
+            with pytest.raises(CodegenError, match=r"^element 2 = "):
+                built._pack([0, q - 1, bad, bad, 1], kept, bound)
+
+    def test_a_tuple_packs_like_a_list(self, packer):
+        built, config, kept, _ = packer
+        q = _moduli(config, random.Random(0))[1]
+        values = [0, 1, q - 2, q - 1]
+        assert built._pack(tuple(values), kept, q) == built._pack(values, kept, q)
+        with pytest.raises(CodegenError, match=r"^element 1 = "):
+            built._pack((0, q, 1), kept, q)
+
+    def test_no_leaks(self, packer):
+        built, config, kept, _ = packer
+        q = _moduli(config, random.Random(0))[1]
+        rng = random.Random(1)
+        values = [rng.randrange(q) for _ in range(1024)]
+        refused = values[:-1] + [1.5]
+        counts = [sys.getrefcount(values), *map(sys.getrefcount, values)]
+        assert built._unpack(built._pack(values, kept, q), kept) == values
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                built._unpack(built._pack(values, kept, q), kept)
+                with pytest.raises(CodegenError):
+                    built._pack(refused, kept, q)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 64 * 1024
+        assert [sys.getrefcount(values), *map(sys.getrefcount, values)] == counts
+
+
 # -- the build cache -------------------------------------------------------------
 
 
@@ -223,15 +378,23 @@ def small_kernel():
 
 
 def _count_compiles(monkeypatch):
+    """A list that records, per ``cc`` run, what it built: "kernel" or "converter"."""
     compiles = []
     real_compile = native._compile
 
-    def counting(*args):
-        compiles.append(args)
-        return real_compile(*args)
+    def counting(compiler, source, *args):
+        compiles.append("converter" if source == native._CONVERTER_SOURCE else "kernel")
+        return real_compile(compiler, source, *args)
 
     monkeypatch.setattr(native, "_compile", counting)
     return compiles
+
+
+def _entries(cache):
+    """The cache's entries: (kernel libraries, conversion helpers)."""
+    entries = sorted(cache.glob("*.so"))
+    converters = [path for path in entries if path.name.startswith("convert-")]
+    return [path for path in entries if path not in converters], converters
 
 
 def _check_vadd(built):
@@ -255,7 +418,8 @@ class TestBuildCache:
         )
         assert isinstance(built, native.NativeKernel)
         _check_vadd(built)
-        assert len(list(private_cache.glob("*.so"))) == 1
+        kernels, converters = _entries(private_cache)
+        assert (len(kernels), len(converters)) == (1, 1)
 
     def test_warm_cache_spawns_no_compiler(self, private_cache, small_kernel, monkeypatch):
         native.compile_native(small_kernel)
@@ -263,9 +427,24 @@ class TestBuildCache:
         monkeypatch.setattr(subprocess, "Popen", _no_process)
         _check_vadd(native.compile_native(small_kernel))
 
+    def test_converter_entry_is_keyed_by_the_interpreter(self, private_cache, small_kernel, monkeypatch):
+        native.compile_native(small_kernel)
+        monkeypatch.setattr(native, "_LOADED", {})
+        get_config_var = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig,
+            "get_config_var",
+            lambda name: "other-abi" if name == "SOABI" else get_config_var(name),
+        )
+        compiles = _count_compiles(monkeypatch)
+        _check_vadd(native.compile_native(small_kernel))
+        assert compiles == ["converter"]
+        kernels, converters = _entries(private_cache)
+        assert (len(kernels), len(converters)) == (1, 2)
+
     def test_truncated_entry_is_rebuilt(self, private_cache, small_kernel, monkeypatch):
         native.compile_native(small_kernel)
-        [entry] = private_cache.glob("*.so")
+        [entry], _ = _entries(private_cache)
         data = entry.read_bytes()
         # A new file, not an in-place truncation: the loaded copy stays mapped.
         entry.unlink()
@@ -273,7 +452,7 @@ class TestBuildCache:
         monkeypatch.setattr(native, "_LOADED", {})
         compiles = _count_compiles(monkeypatch)
         _check_vadd(native.compile_native(small_kernel))
-        assert len(compiles) == 1
+        assert compiles == ["kernel"]
         assert native._intact(entry)
 
     def test_concurrent_first_builds_compile_once(self, private_cache, small_kernel, monkeypatch):
@@ -295,7 +474,7 @@ class TestBuildCache:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and len(built) == 4
-        assert len(compiles) == 1
+        assert sorted(compiles) == ["converter", "kernel"]
         assert [path for path in private_cache.iterdir() if path.name.endswith(".tmp")] == []
 
     def test_failing_compiler_raises_codegen_error_with_its_stderr(
