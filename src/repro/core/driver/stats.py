@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.passes.pipeline import DEFAULT_MAX_ROUNDS
+
 __all__ = ["PassRecord", "CompileRecord", "CompileStats"]
 
 
@@ -45,6 +47,11 @@ class CompileRecord:
     statements_legalized: int
     statements_final: int
     passes: tuple[PassRecord, ...] = ()
+
+    @property
+    def rounds(self) -> int:
+        """Pipeline rounds the lowering ran (0 when no pass ran)."""
+        return max((record.round_index for record in self.passes), default=-1) + 1
 
     @property
     def total_delta(self) -> int:
@@ -117,12 +124,19 @@ class CompileStats:
         ]
         for record in self.records:
             target = record.target or "ir"
+            rounds = ""
+            if record.passes:
+                rounds = f" in {record.rounds} rounds"
+                if record.rounds >= DEFAULT_MAX_ROUNDS:
+                    # optimize() stops at the limit whether or not the last
+                    # round still changed the kernel.
+                    rounds += " (limit: may be unconverged)"
             lines.append(
                 f"  {record.kernel_name} -> {target}: "
                 f"{record.seconds * 1e3:.1f} ms "
                 f"(legalize {record.legalize_seconds * 1e3:.1f} ms), "
                 f"{record.statements_wide} wide -> {record.statements_legalized} "
-                f"legal -> {record.statements_final} optimized"
+                f"legal -> {record.statements_final} optimized{rounds}"
             )
         pass_seconds = self.pass_seconds()
         if pass_seconds:

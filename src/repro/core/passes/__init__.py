@@ -4,7 +4,7 @@ from repro.core.passes.constant_fold import fold_constants
 from repro.core.passes.copy_propagation import propagate_copies
 from repro.core.passes.cse import eliminate_common_subexpressions
 from repro.core.passes.dce import eliminate_dead_code
-from repro.core.passes.pipeline import DEFAULT_PIPELINE, optimize, run_pipeline
+from repro.core.passes.pipeline import DEFAULT_MAX_ROUNDS, DEFAULT_PIPELINE, optimize, run_pipeline
 from repro.core.passes.simplify import simplify
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "propagate_copies",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",
+    "DEFAULT_MAX_ROUNDS",
     "DEFAULT_PIPELINE",
     "optimize",
     "run_pipeline",

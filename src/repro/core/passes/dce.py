@@ -2,7 +2,7 @@
 
 Removes statements none of whose destinations are ever used (by later
 statements or as kernel outputs).  This cleans up the copies left behind by
-copy propagation and CSE, the unused high halves of multiplications whose
+copy propagation, the unused high halves of multiplications whose
 results feed only a shift (Listing 4's "will not be used" temporaries when
 they really are unused), and any operations orphaned by zero-pruning.
 """

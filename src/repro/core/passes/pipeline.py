@@ -2,8 +2,14 @@
 
 The standard pipeline mirrors what the SPIRAL backend does after the MoMA
 rewrite pass: propagate and fold the constants introduced by zero-limb
-pruning, remove duplicate comparisons, forward copies, and delete dead code,
-iterating to a fixed point (each pass can expose work for the others).
+pruning, simplify partially-constant operations, forward copies, remove
+duplicate computations, and delete dead code.  A round runs each of the five
+passes once, and rounds repeat until the body stops changing, because each
+pass can expose work for the others: a constant that simplify leaves in a
+``mov`` reaches the folder only in the next round, after copy propagation
+forwards it.  Constant folding, copy propagation and CSE each forward what
+they rewrite to later statements within their own walk, so most kernels
+reach the fixed point in their first round and the second only confirms it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.core.passes.cse import eliminate_common_subexpressions
 from repro.core.passes.dce import eliminate_dead_code
 from repro.core.passes.simplify import simplify
 
-__all__ = ["optimize", "run_pipeline", "DEFAULT_PIPELINE", "PassObserver"]
+__all__ = ["optimize", "run_pipeline", "DEFAULT_PIPELINE", "DEFAULT_MAX_ROUNDS", "PassObserver"]
 
 Pass = Callable[[Kernel], Kernel]
 
@@ -33,9 +39,12 @@ DEFAULT_PIPELINE: tuple[Pass, ...] = (
     simplify,
     propagate_copies,
     eliminate_common_subexpressions,
-    propagate_copies,
     eliminate_dead_code,
 )
+
+#: Bound on the rounds :func:`optimize` runs; a lowering that uses all of
+#: them may have stopped short of the fixed point.
+DEFAULT_MAX_ROUNDS = 8
 
 
 def run_pipeline(kernel: Kernel, passes: Sequence[Pass]) -> Kernel:
@@ -47,14 +56,18 @@ def run_pipeline(kernel: Kernel, passes: Sequence[Pass]) -> Kernel:
 
 def optimize(
     kernel: Kernel,
-    max_rounds: int = 8,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     pipeline: Sequence[Pass] = DEFAULT_PIPELINE,
     observer: PassObserver | None = None,
 ) -> Kernel:
     """Run the pipeline until the body stops changing.
 
-    ``max_rounds`` bounds the iteration; in practice two or three rounds
-    reach the fixed point even for 1,024-bit kernels.  The fixed point is
+    ``max_rounds`` bounds the iteration.  The last round run is the first
+    that changes nothing, so a kernel whose first round reaches the fixed
+    point takes two.  Over every kernel family (BLAS and both butterflies)
+    at 64-1,024 bits, both word widths and both multiplications, 138 of 170
+    kernels take at most two rounds, and Karatsuba kernels at pruned
+    widths (320 and 640 bits) take the most, up to six.  The fixed point is
     detected with :func:`body_signature` — a structural hash, much cheaper
     than re-stringifying every statement each round.  ``observer`` (used by
     the driver's :class:`~repro.core.driver.session.CompilerSession` for

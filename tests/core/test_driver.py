@@ -4,8 +4,11 @@ import pytest
 
 from repro.errors import DriverError, UnknownTargetError
 from repro.core.driver import (
+    CompileRecord,
     CompilerSession,
+    CompileStats,
     ContentAddressedCache,
+    PassRecord,
     Target,
     emit,
     get_default_session,
@@ -16,6 +19,7 @@ from repro.core.driver import (
     set_default_session,
 )
 from repro.core.ir.fingerprint import kernel_digest
+from repro.core.passes import DEFAULT_MAX_ROUNDS
 from repro.core.rewrite import kernel_is_machine_legal
 from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
 
@@ -255,10 +259,30 @@ class TestCompileStats:
         assert "ntt_butterfly" in report
         assert "eliminate_dead_code" in report
 
+    def test_lowering_reports_its_rounds(self, session):
+        # Limb pruning at 384 bits leaves duplicate chains; CSE collapses
+        # them in round 0 and round 1 only confirms the fixed point.
+        config = KernelConfig(bits=384)
+        session.lower(build_butterfly_kernel(config), options=config.rewrite_options())
+        record = session.stats().records[0]
+        assert record.rounds == 2
+        assert len(record.passes) == record.rounds * len(session.pipeline) == 10
+        assert f"{record.statements_final} optimized in 2 rounds\n" in session.stats().report()
+
+    def test_report_marks_lowering_at_round_limit(self):
+        stats = CompileStats()
+        passes = tuple(
+            PassRecord("simplify", index, 0.0, 9, 9) for index in range(DEFAULT_MAX_ROUNDS)
+        )
+        stats.record(CompileRecord("k", "key", None, 0.0, 0.0, 3, 9, 9, passes))
+        assert stats.records[0].rounds == DEFAULT_MAX_ROUNDS
+        assert f"in {DEFAULT_MAX_ROUNDS} rounds (limit: may be unconverged)" in stats.report()
+
     def test_run_passes_false_records_no_passes(self, session, config):
         session.lower(
             build_butterfly_kernel(config), options=config.rewrite_options(), run_passes=False
         )
         record = session.stats().records[0]
         assert record.passes == ()
+        assert record.rounds == 0
         assert record.statements_final == record.statements_legalized

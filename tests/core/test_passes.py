@@ -8,7 +8,10 @@ from repro.core.ir.builder import KernelBuilder
 from repro.core.ir.ops import OpKind
 from repro.core.ir.values import Const, Group, Var
 from repro.core.ir.types import IntType, u64
+from repro.core.ir.fingerprint import body_signature
+from repro.core.ir.interp import interpret
 from repro.core.passes import (
+    DEFAULT_MAX_ROUNDS,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -18,6 +21,7 @@ from repro.core.passes import (
 )
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
+from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
 
 
 def op_histogram(kernel):
@@ -25,6 +29,13 @@ def op_histogram(kernel):
     for statement in kernel.body:
         counts[statement.op] = counts.get(statement.op, 0) + 1
     return counts
+
+
+def optimize_counting_rounds(kernel):
+    """``optimize(kernel)`` and the number of rounds it ran."""
+    rounds = set()
+    optimized = optimize(kernel, observer=lambda name, round_index, *_: rounds.add(round_index))
+    return optimized, len(rounds)
 
 
 class TestConstantFolding:
@@ -182,6 +193,39 @@ class TestCSE:
         deduplicated = eliminate_common_subexpressions(builder.build())
         assert op_histogram(deduplicated)[OpKind.LT] == 2
 
+    def test_duplicate_chain_collapses_in_one_call(self):
+        # u2 duplicates u1 only once t2 is known to be t1: both links of the
+        # chain must merge in the same walk, with no copy propagation between.
+        builder = KernelBuilder("cse_chain")
+        x = builder.param("x", 64)
+        y = builder.param("y", 64)
+        z = builder.param("z", 1)
+        ands = []
+        for _ in range(2):
+            flag = builder.compare(OpKind.LT, x, y)
+            both = builder.fresh(1, "u")
+            builder.emit(OpKind.AND, both, [flag, z])
+            ands.append(both)
+        builder.output("a", ands[0])
+        builder.output("b", ands[1])
+        deduplicated = eliminate_common_subexpressions(builder.build())
+        assert op_histogram(deduplicated) == {OpKind.LT: 1, OpKind.AND: 1, OpKind.MOV: 2}
+        assert interpret(deduplicated, {"x": 1, "y": 2, "z": 1}) == {"a": 1, "b": 1}
+        assert interpret(deduplicated, {"x": 2, "y": 1, "z": 1}) == {"a": 0, "b": 0}
+
+    def test_output_duplicates_keep_their_mov(self):
+        builder = KernelBuilder("cse_out")
+        x = builder.param("x", 64)
+        y = builder.param("y", 64)
+        first = builder.compare(OpKind.LT, x, y)
+        second = builder.fresh(1, "flag")
+        builder.emit(OpKind.LT, second, [x, y])
+        kernel = builder.build()
+        kernel.outputs = [first, second]
+        deduplicated = eliminate_common_subexpressions(kernel)
+        assert op_histogram(deduplicated) == {OpKind.LT: 1, OpKind.MOV: 1}
+        assert interpret(deduplicated, {"x": 1, "y": 2}) == {first.name: 1, second.name: 1}
+
     def test_shift_attrs_distinguish(self):
         builder = KernelBuilder("cse3")
         x = builder.param("x", 64)
@@ -213,6 +257,18 @@ class TestOptimizePipeline:
         assert raw == opt
         assert opt["z"] == (a * b) % q_value
 
+    def test_duplicate_chains_converge_in_two_rounds(self):
+        # Rules (24)-(26) leave duplicate comparison chains several links
+        # deep; the fixed point must not depend on the round limit.
+        config = KernelConfig(bits=768, word_bits=32)
+        legalized = legalize(build_blas_kernel("vsub", config), config.rewrite_options())
+        assert len(legalized.body) == 682
+        optimized, rounds = optimize_counting_rounds(legalized)
+        reference = optimize(legalized, max_rounds=64)
+        assert len(reference.body) == 255
+        assert rounds == 2
+        assert [str(s) for s in optimized.body] == [str(s) for s in reference.body]
+
     def test_idempotent_at_fixed_point(self):
         builder = KernelBuilder("fixed")
         x = builder.param("x", 128, 124)
@@ -222,3 +278,35 @@ class TestOptimizePipeline:
         once = optimize(legalize(builder.build(), RewriteOptions(word_bits=64)))
         twice = optimize(once)
         assert [str(s) for s in once.body] == [str(s) for s in twice.body]
+
+
+def _sweep_kernels():
+    """Every width x word x multiplication x kernel family (170 kernels)."""
+    for bits in (64, 128, 256, 320, 384, 512, 640, 768, 1024):
+        for word_bits in (64, 32) if bits <= 768 else (64,):
+            for multiplication in ("schoolbook", "karatsuba"):
+                config = KernelConfig(
+                    bits=bits, word_bits=word_bits, multiplication=multiplication
+                )
+                operations = ("vmul", "axpy")
+                if multiplication == "schoolbook":
+                    operations = ("vadd", "vsub") + operations
+                for operation in operations:
+                    yield pytest.param(
+                        config, lambda c=config, o=operation: build_blas_kernel(o, c),
+                        id=f"{operation}-{bits}-w{word_bits}-{multiplication}",
+                    )
+                for variant in ("cooley_tukey", "gentleman_sande"):
+                    yield pytest.param(
+                        config, lambda c=config, v=variant: build_butterfly_kernel(c, v),
+                        id=f"{variant}-{bits}-w{word_bits}-{multiplication}",
+                    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config,build", _sweep_kernels())
+def test_every_kernel_reaches_its_fixed_point(config, build):
+    legalized = legalize(build(), config.rewrite_options())
+    optimized, rounds = optimize_counting_rounds(legalized)
+    assert rounds < DEFAULT_MAX_ROUNDS
+    assert body_signature(optimize(optimized)) == body_signature(optimized)
