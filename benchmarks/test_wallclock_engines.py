@@ -8,11 +8,13 @@ backend, (ii) Python's arbitrary-precision integers (the GMP stand-in), and
 
 ``test_native_ntt_beats_bigint`` is the wall-clock counterpart of Fig. 2 and
 Fig. 3: it records ns per element of ``vmul`` and ns per butterfly of a
-whole forward NTT, for bigint, ``python_exec`` and native at 128 to 1,024
-bits, and holds the paper's claims as floors.  Native ``vmul`` runs through
+whole forward and a whole inverse NTT, for bigint, ``python_exec`` and
+native at 128 to 1,024 bits, with the lanes each native kernel computes per
+call, and holds the paper's claims as floors.  Native ``vmul`` runs through
 ``MomaBlasEngine.vmul``, so its time includes checking, packing and
 unpacking every element; it must beat ``BigIntBaseline.vmul`` at every
-width.  A whole native NTT must beat bigints at 256 bits and above.
+width.  A whole native NTT, forward and inverse (its ``n^{-1}`` scaling
+included), must beat bigints at 256 bits and above.
 """
 
 import random
@@ -25,7 +27,7 @@ from repro.baselines import BigIntBaseline, GrnsBaseline
 from repro.kernels import KernelConfig, compile_blas_kernel
 from repro.ntheory import find_ntt_prime
 from repro.ntt.generated import GeneratedNTT
-from repro.ntt.iterative import ntt_forward
+from repro.ntt.iterative import ntt_forward, ntt_inverse
 from repro.ntt.planner import make_plan
 from repro.poly import MomaBlasEngine
 
@@ -37,7 +39,8 @@ Q = find_ntt_prime(BITS - 4, 64)
 WIDTHS = (128, 256, 384, 768, 1024)
 #: Widths the native NTT must beat bigints at.
 FLOOR_WIDTHS = (256, 384, 768, 1024)
-#: Required bigint/native time ratio of a whole NTT (before floor_scale).
+#: Required bigint/native time ratio of a whole NTT, forward and inverse
+#: (before floor_scale).
 REQUIRED_NTT_SPEEDUP = 2.0
 #: Required bigint/native time ratio of vmul at every width (before floor_scale).
 REQUIRED_VMUL_SPEEDUP = 1.0
@@ -93,7 +96,8 @@ def _fastest(call, repeats):
 
 def _measure_width(bits):
     """ns per element of the vmul kernel and per butterfly of a whole
-    forward NTT, per engine, at one width."""
+    forward and a whole inverse NTT, per engine, at one width, and the
+    lanes per call of the native vmul and butterfly kernels."""
     config = KernelConfig(bits=bits)
     rng = random.Random(bits)
     ntt = GeneratedNTT(NTT_SIZE, config)
@@ -123,27 +127,33 @@ def _measure_width(bits):
 
     values = [rng.randrange(q) for _ in range(NTT_SIZE)]
     butterflies = NTT_SIZE // 2 * plan.stages
-    ntt_times = {}
-    ntt_times["bigint"], spectrum = _fastest(lambda: bigint.ntt(values, plan), 3)
-    ntt_times["native"], result = _fastest(lambda: ntt.forward(values), 5)
-    assert result == spectrum
     small_plan = make_plan(PYTHON_EXEC_NTT_SIZE, plan.modulus_bits, modulus=q)
     small_values = [rng.randrange(small_plan.modulus) for _ in range(small_plan.size)]
+    small_butterflies = small_plan.size // 2 * small_plan.stages
 
     def butterfly(a, b, twiddle, _plan):
         out = ntt.compiled_kernel(x=a, y=b, w=twiddle, q=_plan.modulus, mu=_plan.mu)
         return out["x_out"], out["y_out"]
 
-    ntt_times["python_exec"], result = _fastest(
-        lambda: ntt_forward(small_values, small_plan, butterfly), 1
-    )
-    assert result == bigint.ntt(small_values, small_plan)
-    small_butterflies = small_plan.size // 2 * small_plan.stages
-    per_butterfly = {
-        engine: seconds / (small_butterflies if engine == "python_exec" else butterflies) * 1e9
-        for engine, seconds in ntt_times.items()
-    }
-    return per_element, per_butterfly
+    per_butterfly = {}
+    for direction, generated, reference, driver in (
+        ("forward", ntt.forward, bigint.ntt, ntt_forward),
+        ("inverse", ntt.inverse, bigint.intt, ntt_inverse),
+    ):
+        ntt_times = {}
+        ntt_times["bigint"], expected = _fastest(lambda: reference(values, plan), 3)
+        ntt_times["native"], result = _fastest(lambda: generated(values), 5)
+        assert result == expected
+        ntt_times["python_exec"], result = _fastest(
+            lambda: driver(small_values, small_plan, butterfly), 1
+        )
+        assert result == reference(small_values, small_plan)
+        per_butterfly[direction] = {
+            engine: seconds / (small_butterflies if engine == "python_exec" else butterflies) * 1e9
+            for engine, seconds in ntt_times.items()
+        }
+    lanes = {"vmul": engine._native["vmul"].lanes, "ntt": ntt._native.lanes}
+    return per_element, per_butterfly, lanes
 
 
 @pytest.mark.perf_floor
@@ -153,16 +163,26 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
     floor = REQUIRED_NTT_SPEEDUP * floor_scale
     vmul_floor = REQUIRED_VMUL_SPEEDUP * floor_scale
     print()
-    for bits, (per_element, per_butterfly) in measured.items():
+    for bits, (per_element, per_butterfly, lanes) in measured.items():
         for engine in ("bigint", "python_exec", "native"):
             benchmark.extra_info[f"vmul_ns_per_elem_{engine}_{bits}"] = per_element[engine]
-            benchmark.extra_info[f"ns_per_butterfly_{engine}_{bits}"] = per_butterfly[engine]
+            benchmark.extra_info[f"ns_per_butterfly_{engine}_{bits}"] = per_butterfly["forward"][engine]
+            benchmark.extra_info[f"ns_per_butterfly_inverse_{engine}_{bits}"] = (
+                per_butterfly["inverse"][engine]
+            )
+        for kernel, count in lanes.items():
+            benchmark.extra_info[f"lanes_{kernel}_{bits}"] = count
         print(
             f"# {bits:>5} bits  vmul ns/elem: bigint {per_element['bigint']:8.0f}  "
             f"python_exec {per_element['python_exec']:10.0f}  native {per_element['native']:8.0f}"
-            f"  |  ns/butterfly: bigint {per_butterfly['bigint']:8.0f}  "
-            f"python_exec {per_butterfly['python_exec']:10.0f}  native {per_butterfly['native']:8.0f}"
+            f"  (lanes {lanes['vmul']})"
         )
+        for direction, times in per_butterfly.items():
+            print(
+                f"#   {direction:<7} ns/butterfly: bigint {times['bigint']:8.0f}  "
+                f"python_exec {times['python_exec']:10.0f}  native {times['native']:8.0f}"
+                f"  (lanes {lanes['ntt']})"
+            )
     benchmark.extra_info["floor_ntt_speedup"] = floor
     benchmark.extra_info["floor_vmul_speedup"] = vmul_floor
     for bits in WIDTHS:
@@ -174,10 +194,11 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
             f"expected at least {vmul_floor:g}x ({REQUIRED_VMUL_SPEEDUP}x x {floor_scale:g})"
         )
     for bits in FLOOR_WIDTHS:
-        per_butterfly = measured[bits][1]
-        speedup = per_butterfly["bigint"] / per_butterfly["native"]
-        benchmark.extra_info[f"ntt_speedup_{bits}"] = speedup
-        assert speedup >= floor, (
-            f"the native {bits}-bit NTT is only {speedup:.2f}x faster than bigints; "
-            f"expected at least {floor:g}x ({REQUIRED_NTT_SPEEDUP}x x {floor_scale:g})"
-        )
+        for direction, times in measured[bits][1].items():
+            speedup = times["bigint"] / times["native"]
+            suffix = "" if direction == "forward" else "_inverse"
+            benchmark.extra_info[f"ntt_speedup{suffix}_{bits}"] = speedup
+            assert speedup >= floor, (
+                f"the native {bits}-bit {direction} NTT is only {speedup:.2f}x faster than "
+                f"bigints; expected at least {floor:g}x ({REQUIRED_NTT_SPEEDUP}x x {floor_scale:g})"
+            )

@@ -1,10 +1,17 @@
-"""Native execution target: the c99 translation unit, built and loaded.
+"""Native execution target: the kernel's C unit, built and loaded.
 
 The ``c99`` backend emits a scalar routine plus a ``<kernel>_batch`` loop.
-This target compiles that translation unit once with the host C compiler
-(``cc -O2 -shared -fPIC``) and binds it with :mod:`ctypes`, so a whole
-vector — and, for Cooley-Tukey butterflies, a whole NTT — runs in machine
-code in one call instead of one Python call per element.
+This target compiles a C unit with that interface once with the host C
+compiler (``cc -O2 -shared -fPIC``) and binds it with :mod:`ctypes`, so a
+whole vector — and, for Cooley-Tukey butterflies, a whole NTT — runs in
+machine code in one call instead of one Python call per element.
+
+* **Unit.** On a host whose ``/proc/cpuinfo`` lists ``avx512f`` and
+  ``avx512dq`` (read once per process, without spawning anything) the unit
+  is the lane emitter's (:mod:`repro.core.codegen.lanes`): eight elements
+  or butterflies per AVX-512 vector, built with
+  :data:`~repro.core.codegen.lanes.ISA_FLAGS` added to the flags.  Every
+  other host builds the ``c99`` unit, one element per call.
 
 * **Cache.** Libraries live under ``$XDG_CACHE_HOME/repro/native``
   (``~/.cache/repro/native`` when the variable is unset), named by the
@@ -31,7 +38,9 @@ code in one call instead of one Python call per element.
   ``<kernel>_ntt``, which runs all ``log2(n)`` stages of the iterative
   transform (:mod:`repro.ntt.iterative`) in place over an array already in
   bit-reversed order, reading the twiddles from a table of the plan's
-  ``n/2`` root powers.
+  ``n/2`` root powers.  Given a packed ``n^{-1}`` it then scales every
+  element by it, with ``n`` butterflies at ``x = 0`` (``x + w*y`` is
+  ``w*y``): the inverse transform's last step.
 
 The engines (:class:`~repro.poly.blas.MomaBlasEngine`,
 :class:`~repro.ntt.generated.GeneratedNTT`) use :func:`native_build`, which
@@ -42,6 +51,7 @@ headers, so they keep the ``python_exec`` path there.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import shutil
@@ -56,6 +66,7 @@ from repro.atomic_files import path_lock, replace_atomically
 from repro.errors import CodegenError
 from repro.core.codegen.c99 import generate_c99
 from repro.core.codegen.common import CTypes
+from repro.core.codegen.lanes import ISA_FLAGS, LANES, generate_lanes, transform_layout
 from repro.core.ir.kernel import Kernel
 
 __all__ = [
@@ -69,6 +80,10 @@ __all__ = [
 
 #: Compiler flags; part of every cache key.
 FLAGS = ("-O2", "-shared", "-fPIC")
+#: Where the host's CPU features are listed.
+_CPUINFO = "/proc/cpuinfo"
+#: The features the lane unit is written for (ISA_FLAGS lets cc use them).
+_LANE_FEATURES = frozenset({"avx512f", "avx512dq"})
 #: Machine word widths the target builds (the C backends' widths).
 WORD_BITS = (32, 64)
 
@@ -105,13 +120,38 @@ def native_build(kernel: Kernel) -> NativeKernel | None:
 
 
 def compile_native(kernel: Kernel) -> NativeKernel:
-    """Build (or load from the cache) a legalized kernel's library."""
-    word_bits = kernel.metadata.get("word_bits", 64)
-    source = generate_c99(kernel)
-    if _is_cooley_tukey(kernel):
-        source += "\n" + generate_transform_function(kernel, CTypes.for_word_bits(word_bits)) + "\n"
+    """Build (or load from the cache) a legalized kernel's library: the
+    lane unit on a host with the AVX-512 features it needs, else the
+    ``c99`` unit."""
     converter = _converter()  # first: without headers, nothing is compiled
-    return NativeKernel(kernel, _load(source), converter)
+    with _LOCK:  # concurrent first builds probe the CPU once
+        lanes = _host_lanes()
+    if lanes == LANES:
+        source = generate_lanes(kernel, transform=_is_cooley_tukey(kernel))
+        library = _load(source, FLAGS + ISA_FLAGS)
+    else:
+        source = generate_c99(kernel)
+        if _is_cooley_tukey(kernel):
+            types = CTypes.for_word_bits(kernel.metadata.get("word_bits", 64))
+            source += "\n" + generate_transform_function(kernel, types) + "\n"
+        library = _load(source)
+    return NativeKernel(kernel, library, converter, lanes)
+
+
+@functools.cache
+def _host_lanes() -> int:
+    """Elements per native kernel call on this host: :data:`LANES` when its
+    CPU lists the lane unit's features, else 1.  Reads ``/proc/cpuinfo`` up
+    to the first ``flags`` line, once per process; a host without the file
+    gets 1."""
+    try:
+        with open(_CPUINFO, encoding="utf-8", errors="replace") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return LANES if _LANE_FEATURES <= set(line.partition(":")[2].split()) else 1
+    except OSError:
+        pass
+    return 1
 
 
 def _is_cooley_tukey(kernel: Kernel) -> bool:
@@ -127,45 +167,47 @@ def generate_transform_function(kernel: Kernel, types: CTypes) -> str:
     ``twiddles`` holds ``size / 2`` twiddles in the ``w`` parameter's
     limb layout.  Stage ``half`` pairs element ``start + j`` with ``start
     + j + half`` under twiddle ``j * size / (2 * half)``, exactly the loop
-    of :func:`repro.ntt.iterative.ntt_forward`.
+    of :func:`repro.ntt.iterative.ntt_forward`.  A non-null ``scale`` (one
+    value in the ``w`` layout) then multiplies every element by it: the
+    butterfly at ``x = 0`` with ``y`` the element and ``w`` the scale.
     """
     param_layout = kernel.metadata["param_layout"]
-    output_layout = kernel.metadata["output_layout"]
-    stride = len(param_layout["x"])
-    if any(
-        len(limbs) != stride or None in limbs
-        for limbs in (output_layout["x_out"], output_layout["y_out"])
-    ) or len(param_layout["y"]) != stride:
-        raise CodegenError(
-            f"kernel {kernel.name!r} has no in-place transform layout: its "
-            f"outputs must fill the inputs' {stride}-limb container"
-        )
+    stride, twiddle_limbs = transform_layout(kernel)
     uniform = set(kernel.metadata.get("uniform_params", ()))
     word = types.word
 
-    outputs = [
-        f"&{element}[{index}]"
-        for element in ("u", "v")
-        for index in range(stride)
+    def call(x_out: str, y_out: str, x: str, y: str, w: str) -> str:
+        """The butterfly call; each argument renders a limb by its index."""
+        outputs = [
+            f"&{element}[{index}]" for element in (x_out, y_out) for index in range(stride)
+        ]
+        inputs, twiddle = [], 0
+        for name, limbs in param_layout.items():
+            for index, limb in enumerate(limbs):
+                if limb is None:
+                    continue
+                if name == "x":
+                    inputs.append(x.format(index))
+                elif name == "y":
+                    inputs.append(y.format(index))
+                elif name == "w":
+                    inputs.append(w.format(twiddle))
+                    twiddle += 1
+                elif name in uniform:
+                    inputs.append(limb)
+                else:
+                    raise CodegenError(f"unexpected butterfly parameter {name!r}")
+        return f"{kernel.name}(" + ", ".join(outputs + inputs) + ");"
+
+    scalars = [
+        f"{word} {limb}"
+        for name, limbs in param_layout.items()
+        if name in uniform
+        for limb in limbs
+        if limb is not None
     ]
-    inputs, scalars, twiddle_limbs = [], [], 0
-    for name, limbs in param_layout.items():
-        for index, limb in enumerate(limbs):
-            if limb is None:
-                continue
-            if name == "x":
-                inputs.append(f"u[{index}]")
-            elif name == "y":
-                inputs.append(f"v[{index}]")
-            elif name == "w":
-                inputs.append(f"t[{twiddle_limbs}]")
-                twiddle_limbs += 1
-            elif name in uniform:
-                inputs.append(limb)
-                scalars.append(f"{word} {limb}")
-            else:
-                raise CodegenError(f"unexpected butterfly parameter {name!r}")
-    arguments = [f"{word} *data", f"const {word} *twiddles", *scalars, "size_t size"]
+    arguments = [f"{word} *data", f"const {word} *twiddles", f"const {word} *scale"]
+    arguments += [*scalars, "size_t size"]
     return "\n".join(
         [
             f"void {kernel.name}_ntt(" + ", ".join(arguments) + ") {",
@@ -176,9 +218,16 @@ def generate_transform_function(kernel: Kernel, types: CTypes) -> str:
             f"                {word} *u = data + (start + j) * {stride};",
             f"                {word} *v = u + half * {stride};",
             f"                const {word} *t = twiddles + j * step * {twiddle_limbs};",
-            f"                {kernel.name}(" + ", ".join(outputs + inputs) + ");",
+            "                " + call("u", "v", "u[{}]", "v[{}]", "t[{}]"),
             "            }",
             "        }",
+            "    }",
+            "    if (scale == NULL)",
+            "        return;",
+            f"    {word} drop[{stride}];",
+            "    for (size_t i = 0; i < size; ++i) {",
+            f"        {word} *u = data + i * {stride};",
+            "        " + call("u", "drop", "0", "u[{}]", "scale[{}]"),
             "    }",
             "}",
         ]
@@ -460,11 +509,12 @@ class NativeKernel:
         word_bits: machine word width.
     """
 
-    def __init__(self, kernel: Kernel, library, converter) -> None:
+    def __init__(self, kernel: Kernel, library, converter, lanes: int) -> None:
         import ctypes
 
         metadata = kernel.metadata
         self.kernel = kernel
+        self._lanes = lanes
         self.word_bits = metadata.get("word_bits", 64)
         self._word_bytes = self.word_bits // 8
         self._typecode = _TYPECODES[self.word_bits]
@@ -503,7 +553,7 @@ class NativeKernel:
             scalars = sum(count for name, count in self._params if name in self._uniform)
             self._transform = library[f"{kernel.name}_ntt"]
             self._transform.argtypes = (
-                [ctypes.c_void_p, ctypes.c_void_p] + [word] * scalars + [ctypes.c_size_t]
+                [ctypes.c_void_p] * 3 + [word] * scalars + [ctypes.c_size_t]
             )
             self._transform.restype = None
         size = ctypes.c_ssize_t
@@ -517,6 +567,12 @@ class NativeKernel:
         self._unpack_values.restype = ctypes.py_object
         # Keep the shared objects mapped.
         self._libraries = (library, converter)
+
+    @property
+    def lanes(self) -> int:
+        """Elements (or butterflies) one library call computes at once: 8
+        for the lane unit, 1 for the ``c99`` unit."""
+        return self._lanes
 
     # -- packing -----------------------------------------------------------
 
@@ -630,21 +686,26 @@ class NativeKernel:
         twiddles: array,
         scalars: dict[str, int],
         bound: int,
+        scale: array | None = None,
     ) -> list[int]:
         """All stages of the radix-2 NTT over ``values`` gathered through
         ``order`` (``array('q')``, the bit-reversal permutation), with
         ``twiddles`` from :meth:`pack` of the plan's ``n/2`` root powers;
-        returns the transformed values.  Every value must lie below
-        ``bound``."""
+        returns the transformed values, each multiplied by ``scale`` (one
+        value from :meth:`pack` of ``w``, say ``n^{-1}``) when one is
+        given.  Every value must lie below ``bound``."""
         if self._transform is None:
             raise CodegenError(f"kernel {self.kernel.name!r} is not a Cooley-Tukey butterfly")
         size = len(values)
         if size < 2 or size & (size - 1):
             raise CodegenError(f"transform size must be a power of two >= 2, got {size}")
-        if twiddles.typecode != self._typecode or len(twiddles) != size // 2 * self._kept["w"]:
+        limbs = self._kept["w"]
+        if twiddles.typecode != self._typecode or len(twiddles) != size // 2 * limbs:
             raise CodegenError(
                 f"a {size}-point transform needs {size // 2} twiddles packed by pack('w')"
             )
+        if scale is not None and (scale.typecode != self._typecode or len(scale) != limbs):
+            raise CodegenError("a transform's scale must be one value packed by pack('w')")
         stride = len(self._layout["x"])
         data = self._pack(values, stride, bound, order)
         limbs = [
@@ -653,5 +714,11 @@ class NativeKernel:
             if name in self._uniform
             for limb in self._scalar_limbs(name, scalars[name])
         ]
-        self._transform(data.buffer_info()[0], twiddles.buffer_info()[0], *limbs, size)
+        self._transform(
+            data.buffer_info()[0],
+            twiddles.buffer_info()[0],
+            None if scale is None else scale.buffer_info()[0],
+            *limbs,
+            size,
+        )
         return self._unpack(data, stride)

@@ -136,7 +136,8 @@ register_target(
 register_target(
     Target(
         name="native",
-        description="the c99 unit built with the host `cc` and loaded (NativeKernel)",
+        description="the kernel's C unit (AVX-512 lanes where the CPU has them, else c99) "
+        "built with the host `cc` and loaded (NativeKernel)",
         emit=compile_native,
         word_bits=NATIVE_WORD_BITS,
         ctypes=CTypes.for_word_bits,

@@ -9,8 +9,8 @@ on isolated scalar operations.
 Where the machine has a C compiler (``cc`` on ``PATH``) and the
 interpreter's C headers, and the kernel uses 32- or 64-bit words, a
 transform is one call into the ``native`` target's whole-transform entry
-point: validate, permute and pack in one C pass, run every stage in C,
-unpack (and scale the inverse by ``n^{-1}``).  Elsewhere each butterfly is
+point: validate, permute and pack in one C pass, run every stage (and the
+inverse's ``n^{-1}`` scaling) in C, unpack.  Elsewhere each butterfly is
 one call of the ``python_exec`` kernel, which stays the reference backend.
 """
 
@@ -25,7 +25,7 @@ from repro.core.codegen.python_exec import CompiledKernel
 from repro.core.driver import CompilerSession
 from repro.kernels.config import KernelConfig
 from repro.kernels.ntt_gen import compile_butterfly_kernel
-from repro.ntt.iterative import check_coefficients, ntt_forward, ntt_inverse, scale_inverse
+from repro.ntt.iterative import check_coefficients, ntt_forward, ntt_inverse
 from repro.ntt.planner import NTTPlan, bit_reverse_permutation, make_plan
 
 __all__ = ["GeneratedNTT"]
@@ -106,6 +106,10 @@ class GeneratedNTT:
                 "forward": self._native.pack("w", self.plan.forward_twiddles()),
                 "inverse": self._native.pack("w", self.plan.inverse_twiddles()),
             }
+            self._scales = {
+                "forward": None,
+                "inverse": self._native.pack("w", [self.plan.size_inverse]),
+            }
 
     @property
     def size(self) -> int:
@@ -142,6 +146,7 @@ class GeneratedNTT:
                 self._twiddles[direction],
                 {"q": plan.modulus, "mu": plan.mu},
                 bound=plan.modulus,
+                scale=self._scales[direction],
             )
         except CodegenError:
             # The Python check, run only on this path, names an unreduced
@@ -159,7 +164,7 @@ class GeneratedNTT:
         """Inverse NTT using generated butterflies."""
         if self._native is None:
             return ntt_inverse(values, self.plan, self._butterfly)
-        return scale_inverse(self._run_native(values, "inverse"), self.plan)
+        return self._run_native(values, "inverse")
 
     def polynomial_multiply(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Cyclic convolution of two length-``n`` coefficient vectors.

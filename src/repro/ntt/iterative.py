@@ -14,8 +14,9 @@ The butterfly itself is pluggable:
   machine-word code the CUDA backend emits, via the Python execution backend.
 
 The native target (:mod:`repro.core.codegen.native`) emits this same network
-as one C loop nest; :func:`check_coefficients` and :func:`scale_inverse` are
-shared with it so both paths validate and scale identically.
+as one C loop nest, which also applies the inverse's ``n^{-1}`` scaling;
+:func:`check_coefficients` is shared with it so both paths validate
+identically.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""The native target: the c99 unit built with ``cc`` and loaded with ctypes.
+"""The native target: the kernel's C unit built with ``cc`` and loaded with ctypes.
 
 Differential tests run every kernel three ways on the same operands — the
 native library, the ``python_exec`` reference backend and Python bigints —
-and require identical outputs.  The sweep covers every width, both
-multiplication algorithms and both word widths, but not their full cross
-product: ``gcc -O2`` alone takes about 24 s and 400 MB on the 1,024-bit
-Karatsuba ``vmul`` with 32-bit words.  Cache tests build into a private
-``XDG_CACHE_HOME``; the rest share the user's cache, so a second run is warm.
-The conversion helper is built against the interpreter's headers, so the
-module also needs ``Python.h``.
+and require identical outputs, on both native paths in turn: the lane unit
+(eight elements per call, on hosts with AVX-512F and AVX-512DQ; skipped
+elsewhere) and the scalar ``c99`` unit, forced by replacing the CPU probe.  The sweep
+covers every width, both multiplication algorithms and both word widths,
+but not their full cross product: ``gcc -O2`` alone takes about 24 s and
+400 MB on the 1,024-bit Karatsuba ``vmul`` with 32-bit words.  Cache tests
+build into a private ``XDG_CACHE_HOME``; the rest share the user's cache, so
+a second run is warm.  The conversion helper is built against the
+interpreter's headers, so the module also needs ``Python.h``.
 """
 
 import random
@@ -18,16 +20,24 @@ import sys
 import sysconfig
 import threading
 import tracemalloc
+from array import array
 
 import pytest
 
 import repro.core.codegen.native as native
 from repro.arith.barrett import BarrettParams
+from repro.core.codegen.lanes import LANES
+from repro.core.codegen.python_exec import compile_kernel
+from repro.core.ir.kernel import Kernel
+from repro.core.ir.ops import OpKind, Statement
+from repro.core.ir.types import IntType, u1
+from repro.core.ir.values import Const, Group, Var
 from repro.core.driver import CompilerSession, get_target
 from repro.errors import ArithmeticDomainError, CodegenError, KernelError
 from repro.kernels import KernelConfig, build_blas_kernel, compile_blas_kernel
 from repro.ntt.generated import GeneratedNTT
 from repro.ntt.iterative import ntt_forward, ntt_inverse
+from repro.ntt.planner import bit_reverse_permutation
 from repro.poly.blas import MomaBlasEngine
 
 pytestmark = [
@@ -63,6 +73,19 @@ def session():
     return CompilerSession()
 
 
+HAS_LANES = native._host_lanes() == LANES
+
+
+def _native_paths(monkeypatch):
+    """Each native path in turn, as its lanes per call: the lane unit where
+    the CPU has AVX-512F and AVX-512DQ (skipped elsewhere), then the scalar
+    unit, forced by replacing the CPU probe for the rest of the test."""
+    if HAS_LANES:
+        yield LANES
+    monkeypatch.setattr(native, "_host_lanes", lambda: 1)
+    yield 1
+
+
 def _moduli(config, rng):
     """All-ones (every kept limb of q - 1 is all-ones but the lowest bit) and a drawn one."""
     bits = config.effective_modulus_bits
@@ -95,49 +118,237 @@ def _bigint(operation, x, y, scalars):
     return [compute(a, b) for a, b in zip(x, y)]
 
 
+def _scalars(operation, config, q):
+    modulus_bits = config.effective_modulus_bits
+    scalars = {"q": q}
+    if operation in MUL:
+        scalars["mu"] = BarrettParams.create(q, modulus_bits + 4, modulus_bits).mu
+    if operation == "axpy":
+        scalars["a"] = q - 1
+    return scalars
+
+
 @pytest.mark.parametrize(
     "bits, multiplication, word_bits, operations",
     BLAS_CASES,
     ids=[f"{bits}{m[0]}w{w}" for bits, m, w, _ in BLAS_CASES],
 )
-def test_blas_matches_python_exec_and_bigints(session, bits, multiplication, word_bits, operations):
+def test_blas_matches_python_exec_and_bigints(
+    session, monkeypatch, bits, multiplication, word_bits, operations
+):
     config = KernelConfig(bits=bits, word_bits=word_bits, multiplication=multiplication)
-    rng = random.Random(bits * word_bits)
-    modulus_bits = config.effective_modulus_bits
-    for operation in operations:
-        reference = compile_blas_kernel(operation, config, session=session)
+    for lanes in _native_paths(monkeypatch):
+        rng = random.Random(bits * word_bits)
+        for operation in operations:
+            reference = compile_blas_kernel(operation, config, session=session)
+            built = native.compile_native(reference.kernel)
+            assert built.lanes == lanes
+            for q in _moduli(config, rng):
+                x, y = _operands(q, word_bits, rng)
+                scalars = _scalars(operation, config, q)
+                expected = _bigint(operation, x, y, scalars)
+                assert built.batch({"x": x, "y": y}, scalars)["z"] == expected, (lanes, operation, q)
+                assert [reference(x=a, y=b, **scalars)["z"] for a, b in zip(x, y)] == expected
+
+
+#: Vector lengths around the lane count: partial last groups of every size
+#: class, one full group, and several groups plus a remainder.
+LENGTHS = (1, 7, 8, 9, 17, 1029)
+#: (bits, word_bits, operation) of the partial-group kernels: both word
+#: widths, a pruned container (384 bits) and a uniform scalar (axpy).
+LENGTH_CASES = [(128, 64, "vmul"), (128, 32, "vmul"), (384, 64, "axpy"), (256, 32, "vsub")]
+
+
+@pytest.mark.parametrize(
+    "bits, word_bits, operation", LENGTH_CASES, ids=[f"{o}{b}w{w}" for b, w, o in LENGTH_CASES]
+)
+def test_partial_lane_groups(session, monkeypatch, bits, word_bits, operation):
+    config = KernelConfig(bits=bits, word_bits=word_bits)
+    reference = compile_blas_kernel(operation, config, session=session)
+    q = _moduli(config, random.Random(0))[1]
+    scalars = _scalars(operation, config, q)
+    for lanes in _native_paths(monkeypatch):
         built = native.compile_native(reference.kernel)
-        for q in _moduli(config, rng):
-            x, y = _operands(q, word_bits, rng)
-            scalars = {"q": q}
-            if operation in MUL:
-                scalars["mu"] = BarrettParams.create(q, modulus_bits + 4, modulus_bits).mu
-            if operation == "axpy":
-                scalars["a"] = q - 1
+        rng = random.Random(bits + word_bits)
+        for length in LENGTHS:
+            x = [rng.randrange(q) for _ in range(length)]
+            y = [rng.randrange(q) for _ in range(length)]
             expected = _bigint(operation, x, y, scalars)
-            assert built.batch({"x": x, "y": y}, scalars)["z"] == expected, (operation, q)
-            assert [reference(x=a, y=b, **scalars)["z"] for a, b in zip(x, y)] == expected
+            assert built.batch({"x": x, "y": y}, scalars)["z"] == expected, (lanes, length)
+            few = slice(0, min(length, 40))
+            reference_z = [reference(x=a, y=b, **scalars)["z"] for a, b in zip(x[few], y[few])]
+            assert reference_z == expected[few]
+
+
+def _check_round_trips(session, monkeypatch, size, config):
+    """Forward and inverse on each native path against bigints and the
+    python_exec butterfly."""
+    for lanes in _native_paths(monkeypatch):
+        transform = GeneratedNTT(size, config, session=session)
+        assert transform.backend == "native" and transform._native.lanes == lanes
+        q = transform.modulus
+        rng = random.Random(size + config.bits)
+        values = ([0, 1, q - 1] + [rng.randrange(q) for _ in range(size)])[:size]
+        kernel = transform.compiled_kernel
+
+        def butterfly(x, y, twiddle, plan):
+            out = kernel(x=x, y=y, w=twiddle, q=plan.modulus, mu=plan.mu)
+            return out["x_out"], out["y_out"]
+
+        spectrum = transform.forward(values)
+        assert spectrum == ntt_forward(values, transform.plan), lanes
+        assert spectrum == ntt_forward(values, transform.plan, butterfly)
+        assert transform.inverse(spectrum) == values, lanes
+        assert transform.inverse(values) == ntt_inverse(values, transform.plan, butterfly)
 
 
 @pytest.mark.parametrize("bits", [128, 384])
-@pytest.mark.parametrize("size", [2, 16, 256])
-def test_ntt_round_trips_match_python_exec(session, bits, size):
-    transform = GeneratedNTT(size, KernelConfig(bits=bits), session=session)
-    assert transform.backend == "native"
-    q = transform.modulus
-    rng = random.Random(size + bits)
-    values = ([0, 1, q - 1] + [rng.randrange(q) for _ in range(size)])[:size]
-    kernel = transform.compiled_kernel
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 256])
+def test_ntt_round_trips_match_python_exec(session, monkeypatch, bits, size):
+    """Sizes 2, 4 and 8 have fewer butterflies per stage than lanes; 384
+    bits prunes the top limbs of its container."""
+    _check_round_trips(session, monkeypatch, size, KernelConfig(bits=bits))
 
-    def butterfly(x, y, twiddle, plan):
-        out = kernel(x=x, y=y, w=twiddle, q=plan.modulus, mu=plan.mu)
-        return out["x_out"], out["y_out"]
 
-    spectrum = transform.forward(values)
-    assert spectrum == ntt_forward(values, transform.plan)
-    assert spectrum == ntt_forward(values, transform.plan, butterfly)
-    assert transform.inverse(spectrum) == values
-    assert transform.inverse(values) == ntt_inverse(values, transform.plan, butterfly)
+#: (bits, size, configuration) of the other butterflies the transform runs:
+#: 768 bits, the Karatsuba butterfly and 32-bit words.
+NTT_CASES = [
+    (768, 16, {}),
+    (256, 16, {"multiplication": "karatsuba"}),
+    (128, 32, {"word_bits": 32}),
+    (384, 8, {"word_bits": 32}),
+]
+
+
+@pytest.mark.parametrize(
+    "bits, size, options",
+    NTT_CASES,
+    ids=[f"{b}n{n}" + "".join(f"-{v}" for v in o.values()) for b, n, o in NTT_CASES],
+)
+def test_ntt_round_trips_at_other_configurations(session, monkeypatch, bits, size, options):
+    _check_round_trips(session, monkeypatch, size, KernelConfig(bits=bits, **options))
+
+
+def _shapes_kernel(word_bits):
+    """A legalized kernel of three one-limb parameters whose statements take
+    the machine-legal shapes the frontends rarely or never emit: flags added,
+    compared and selected; a carry word above a three-word sum; two-word
+    shifts across, beyond and into the word boundary; a flag in a shifted
+    group; a word condition; constants on either side."""
+    word, flag = IntType(word_bits), u1
+    a, b, c = (Var(name, word) for name in "abc")
+    names = iter(range(1000))
+    body, outputs = [], []
+
+    def group(operand):
+        """A part, an int (a word constant) or a tuple of them."""
+        parts = operand if isinstance(operand, tuple) else (operand,)
+        return Group(tuple(part if isinstance(part, Var) else Const(part, word) for part in parts))
+
+    def emit(op, dest_types, *operands, keep=True, **attrs):
+        dests = tuple(Var(f"v{next(names)}", kind) for kind in dest_types)
+        body.append(Statement(op, Group(dests), [group(operand) for operand in operands], attrs))
+        if keep:
+            outputs.extend(dests)
+        return dests if len(dests) > 1 else dests[0]
+
+    # Outputs are never read back (the c99 unit writes them through pointers).
+    f1 = emit(OpKind.LT, [flag], a, b, keep=False)
+    f2 = emit(OpKind.EQ, [flag], b, c, keep=False)
+    f3 = emit(OpKind.LE, [flag], c, a, keep=False)
+    emit(OpKind.MOV, [word], f1)
+    emit(OpKind.MOV, [flag], f3)
+    emit(OpKind.ADD, [flag, word], a, b, f1)
+    emit(OpKind.ADD, [word, word], a, b, c)
+    emit(OpKind.ADD, [flag, word], f1, f2)
+    emit(OpKind.ADD, [word], f1, f2, f3)
+    emit(OpKind.ADD, [flag, word], a, 7)
+    emit(OpKind.SUB, [flag, word], a, b, f2)
+    emit(OpKind.SUB, [flag, word], 3, b, f1)
+    emit(OpKind.SUB, [word], a, b, c)
+    emit(OpKind.SUB, [flag], f1, f2, f3)
+    emit(OpKind.SUB, [flag], a, b)
+    high_a = emit(OpKind.SHR, [word], a, amount=word_bits // 2 + 8, keep=False)
+    high_b = emit(OpKind.SHR, [word], b, amount=word_bits // 2 + 8, keep=False)
+    emit(OpKind.MUL, [word], high_a, high_b)
+    emit(OpKind.MUL, [word, word], a, b)
+    emit(OpKind.MULLO, [word], a, b)
+    emit(OpKind.SHR, [word, word], (a, b), amount=5)
+    emit(OpKind.SHR, [word], (a, b), amount=word_bits + 7)
+    emit(OpKind.SHR, [word], (a, b), amount=word_bits)
+    emit(OpKind.SHL, [word, word], (a, b), amount=word_bits + 6)
+    emit(OpKind.SHL, [word, word], a, amount=3)
+    emit(OpKind.SHL, [word], (a, b), amount=3)
+    emit(OpKind.SHR, [word], (f1, a), amount=1)
+    emit(OpKind.NOT, [word], a)
+    emit(OpKind.NOT, [flag], f1)
+    emit(OpKind.OR, [word], a, b)
+    emit(OpKind.AND, [flag], f1, f2)
+    emit(OpKind.OR, [flag], f3, f1)
+    emit(OpKind.EQ, [flag], f1, f3)
+    emit(OpKind.SELECT, [word], f1, a, b)
+    emit(OpKind.SELECT, [word], c, a, 5)
+    emit(OpKind.SELECT, [flag], f2, f1, f3)
+    emit(OpKind.MOV, [flag, word], a)
+    emit(OpKind.MOV, [word], f2)
+    emit(OpKind.MOV, [flag], 1)
+    # Wrapping results read back: a 32-bit word must not keep bits above 32.
+    for op, operands, attrs in [
+        (OpKind.NOT, (a,), {}),
+        (OpKind.SUB, (a, b, c), {}),
+        (OpKind.MULLO, (a, b), {}),
+        (OpKind.SHL, (a,), {"amount": 3}),
+    ]:
+        emit(OpKind.SHR, [word], emit(op, [word], *operands, keep=False, **attrs), amount=1)
+    layout = lambda variables: {var.name: [var.name] for var in variables}  # noqa: E731
+    return Kernel(
+        f"shapes_w{word_bits}",
+        [a, b, c],
+        outputs,
+        body,
+        {
+            "word_bits": word_bits,
+            "param_layout": layout([a, b, c]),
+            "output_layout": layout(outputs),
+            "original_params": [(name, word_bits, None) for name in "abc"],
+        },
+    )
+
+
+@pytest.mark.parametrize("word_bits", [64, 32])
+def test_every_statement_shape_matches_python_exec(monkeypatch, word_bits):
+    kernel = _shapes_kernel(word_bits)
+    reference = compile_kernel(kernel)
+    rng = random.Random(word_bits)
+    top = (1 << word_bits) - 1
+    words = [0, 1, 2, 5, 7, top - 1, top, 1 << (word_bits - 1)]
+    triples = [(x, y, z) for x in words for y in words for z in words[::3]]
+    triples += [tuple(rng.randrange(top + 1) for _ in range(3)) for _ in range(40)]
+    a, b, c = (list(column) for column in zip(*triples))
+    expected = [reference.call_limbs(*triple) for triple in triples]
+    for lanes in _native_paths(monkeypatch):
+        got = native.compile_native(kernel).batch({"a": a, "b": b, "c": c}, {})
+        for index, output in enumerate(kernel.outputs):
+            assert got[output.name] == [row[index] for row in expected], (lanes, output.name)
+
+
+@pytest.mark.parametrize("size", [2, 8, 64])
+def test_transform_scales_in_c(session, monkeypatch, size):
+    """The transform's scale multiplies every output by one value."""
+    rng = random.Random(size)
+    for lanes in _native_paths(monkeypatch):
+        transform = GeneratedNTT(size, KernelConfig(bits=128), session=session)
+        built, plan = transform._native, transform.plan
+        values = [rng.randrange(plan.modulus) for _ in range(size)]
+        factor = rng.randrange(plan.modulus)
+        order = array("q", bit_reverse_permutation(size))
+        twiddles = built.pack("w", plan.forward_twiddles())
+        scalars = {"q": plan.modulus, "mu": plan.mu}
+        scaled = built.transform(values, order, twiddles, scalars, plan.modulus, built.pack("w", [factor]))
+        expected = [value * factor % plan.modulus for value in ntt_forward(values, plan)]
+        assert scaled == expected, lanes
+        with pytest.raises(CodegenError, match="scale"):
+            built.transform(values, order, twiddles, scalars, plan.modulus, built.pack("w", [1, 2]))
 
 
 class TestBoundaryChecks:
@@ -477,6 +688,26 @@ class TestBuildCache:
         assert sorted(compiles) == ["converter", "kernel"]
         assert [path for path in private_cache.iterdir() if path.name.endswith(".tmp")] == []
 
+    @pytest.mark.skipif(not HAS_LANES, reason="this host's CPU lacks AVX-512F or AVX-512DQ")
+    def test_lane_and_scalar_builds_are_two_entries(self, private_cache, small_kernel, monkeypatch):
+        compiles = _count_compiles(monkeypatch)
+        lanes = native.compile_native(small_kernel)
+        monkeypatch.setattr(native, "_host_lanes", lambda: 1)
+        scalar = native.compile_native(small_kernel)
+        assert (lanes.lanes, scalar.lanes) == (LANES, 1)
+        assert sorted(compiles) == ["converter", "kernel", "kernel"]
+        kernels, converters = _entries(private_cache)
+        assert (len(kernels), len(converters)) == (2, 1)
+        _check_vadd(lanes)
+        _check_vadd(scalar)
+
+    def test_lanes_is_read_only(self, small_kernel, monkeypatch):
+        for lanes in _native_paths(monkeypatch):
+            built = native.compile_native(small_kernel)
+            assert built.lanes == lanes
+            with pytest.raises(AttributeError):
+                built.lanes = 4
+
     def test_failing_compiler_raises_codegen_error_with_its_stderr(
         self, private_cache, small_kernel, tmp_path, monkeypatch
     ):
@@ -493,3 +724,81 @@ class TestBuildCache:
             native.compile_native(small_kernel)
         assert "status 3" in str(raised.value)
         assert list(private_cache.glob("*.so")) == []
+
+
+# -- the CPU probe ---------------------------------------------------------------
+
+
+class TestCpuProbe:
+    @pytest.fixture(autouse=True)
+    def fresh_probe(self):
+        native._host_lanes.cache_clear()
+        yield
+        native._host_lanes.cache_clear()
+
+    @staticmethod
+    def _cpuinfo(tmp_path, monkeypatch, flags):
+        """A cpuinfo whose first processor lists ``flags``; the second lists none."""
+        info = tmp_path / "cpuinfo"
+        info.write_text(
+            "processor\t: 0\n"
+            f"flags\t\t: fpu sse2 {flags}\n\n"
+            "processor\t: 1\n"
+            "flags\t\t: fpu\n"
+        )
+        monkeypatch.setattr(native, "_CPUINFO", str(info))
+        return info
+
+    @staticmethod
+    def _count_opens(monkeypatch):
+        """The files the native module opens from now on."""
+        opened = []
+
+        def counting(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(native, "open", counting, raising=False)
+        return opened
+
+    def test_reads_cpuinfo_once_without_a_process(self, tmp_path, monkeypatch):
+        info = self._cpuinfo(tmp_path, monkeypatch, "avx512f avx512dq")
+        opened = self._count_opens(monkeypatch)
+        monkeypatch.setattr(subprocess, "Popen", _no_process)
+        assert [native._host_lanes() for _ in range(3)] == [LANES] * 3
+        assert opened == [str(info)]
+
+    def test_concurrent_first_builds_read_cpuinfo_once(
+        self, private_cache, small_kernel, tmp_path, monkeypatch
+    ):
+        info = self._cpuinfo(tmp_path, monkeypatch, "avx512f avx512dq" if HAS_LANES else "")
+        opened = self._count_opens(monkeypatch)
+        barrier = threading.Barrier(4)
+        built = []
+
+        def build():
+            barrier.wait(timeout=10)
+            built.append(native.compile_native(small_kernel).lanes)
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert built == [LANES if HAS_LANES else 1] * 4
+        assert opened == [str(info)]
+
+    @pytest.mark.parametrize("flags", ["avx512f", "avx512dq", "avx2 avx512ifma", ""])
+    def test_a_missing_feature_means_one_lane(self, tmp_path, monkeypatch, flags):
+        self._cpuinfo(tmp_path, monkeypatch, flags)
+        assert native._host_lanes() == 1
+
+    def test_host_without_cpuinfo_gets_the_scalar_build(
+        self, private_cache, small_kernel, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(native, "_CPUINFO", str(tmp_path / "absent"))
+        monkeypatch.setattr(native, "_LOADED", {})
+        built = native.compile_native(small_kernel)
+        assert built.lanes == 1
+        _check_vadd(built)
