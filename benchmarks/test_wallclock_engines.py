@@ -7,14 +7,17 @@ backend, (ii) Python's arbitrary-precision integers (the GMP stand-in), and
 (iii) the RNS/GRNS-style baseline.
 
 ``test_native_ntt_beats_bigint`` is the wall-clock counterpart of Fig. 2 and
-Fig. 3: it records ns per element of ``vmul`` and ns per butterfly of a
-whole forward and a whole inverse NTT, for bigint, ``python_exec`` and
-native at 128 to 1,024 bits, with the lanes each native kernel computes per
-call, and holds the paper's claims as floors.  Native ``vmul`` runs through
-``MomaBlasEngine.vmul``, so its time includes checking, packing and
-unpacking every element; it must beat ``BigIntBaseline.vmul`` at every
-width.  A whole native NTT, forward and inverse (its ``n^{-1}`` scaling
-included), must beat bigints at 256 bits and above.
+Fig. 3: it records ns per element of ``vmul`` and ``vadd`` and ns per
+butterfly of a whole forward and a whole inverse NTT, for bigint,
+``python_exec`` (``vmul`` and the NTT) and native at 128 to 1,024 bits, with
+the lanes each native kernel computes per call, and holds the paper's
+claims as floors.  Native ``vmul`` and ``vadd`` run through
+``MomaBlasEngine``, so their time includes checking, packing and unpacking
+every element.  Native ``vmul`` must beat ``BigIntBaseline.vmul`` at every
+width; native ``vadd``, whose limb loop is a small part of that time, must
+beat ``BigIntBaseline.vadd`` at 128 to 384 bits and is recorded without a
+floor above.  A whole native NTT, forward and inverse (its ``n^{-1}``
+scaling included), must beat bigints at 256 bits and above.
 """
 
 import random
@@ -44,6 +47,9 @@ FLOOR_WIDTHS = (256, 384, 768, 1024)
 REQUIRED_NTT_SPEEDUP = 2.0
 #: Required bigint/native time ratio of vmul at every width (before floor_scale).
 REQUIRED_VMUL_SPEEDUP = 1.0
+#: Widths native vadd must beat bigints at, and by how much (before floor_scale).
+VADD_FLOOR_WIDTHS = (128, 256, 384)
+REQUIRED_VADD_SPEEDUP = 1.0
 #: Vector and transform lengths: native and bigint run the long ones;
 #: python_exec, thousands of times slower per unit, the short ones.
 ELEMENTS = 1024
@@ -94,10 +100,24 @@ def _fastest(call, repeats):
     return best, result
 
 
+def _fastest_in_turns(calls, repeats):
+    """Fastest of ``repeats`` timed calls of each of ``calls``, taken in
+    turns so that every call sees the same spells of host speed, in
+    seconds, and each call's last result."""
+    best, results = [float("inf")] * len(calls), [None] * len(calls)
+    for _ in range(repeats):
+        for index, call in enumerate(calls):
+            started = time.perf_counter()
+            results[index] = call()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best, results
+
+
 def _measure_width(bits):
-    """ns per element of the vmul kernel and per butterfly of a whole
-    forward and a whole inverse NTT, per engine, at one width, and the
-    lanes per call of the native vmul and butterfly kernels."""
+    """At one width: ns per element of vmul (per engine) and of vadd
+    (bigint and native), ns per butterfly of a whole forward and a whole
+    inverse NTT (per engine), and the lanes per call of the native vmul and
+    butterfly kernels."""
     config = KernelConfig(bits=bits)
     rng = random.Random(bits)
     ntt = GeneratedNTT(NTT_SIZE, config)
@@ -124,6 +144,13 @@ def _measure_width(bits):
         engine: seconds / (few if engine == "python_exec" else ELEMENTS) * 1e9
         for engine, seconds in vmul.items()
     }
+    # vadd's native and bigint times are close, so they take turns.
+    (bigint_s, native_s), (expected, result) = _fastest_in_turns(
+        [lambda: bigint.vadd(x, y, q), lambda: engine.vadd(x, y, q)], 9
+    )
+    assert result == expected
+    per_element["vadd_bigint"] = bigint_s / ELEMENTS * 1e9
+    per_element["vadd_native"] = native_s / ELEMENTS * 1e9
 
     values = [rng.randrange(q) for _ in range(NTT_SIZE)]
     butterflies = NTT_SIZE // 2 * plan.stages
@@ -162,6 +189,7 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
     measured = run_once(lambda: {bits: _measure_width(bits) for bits in WIDTHS})
     floor = REQUIRED_NTT_SPEEDUP * floor_scale
     vmul_floor = REQUIRED_VMUL_SPEEDUP * floor_scale
+    vadd_floor = REQUIRED_VADD_SPEEDUP * floor_scale
     print()
     for bits, (per_element, per_butterfly, lanes) in measured.items():
         for engine in ("bigint", "python_exec", "native"):
@@ -172,10 +200,16 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
             )
         for kernel, count in lanes.items():
             benchmark.extra_info[f"lanes_{kernel}_{bits}"] = count
+        for engine in ("bigint", "native"):
+            benchmark.extra_info[f"vadd_ns_per_elem_{engine}_{bits}"] = per_element[f"vadd_{engine}"]
         print(
             f"# {bits:>5} bits  vmul ns/elem: bigint {per_element['bigint']:8.0f}  "
             f"python_exec {per_element['python_exec']:10.0f}  native {per_element['native']:8.0f}"
             f"  (lanes {lanes['vmul']})"
+        )
+        print(
+            f"#   vadd    ns/elem: bigint {per_element['vadd_bigint']:8.0f}  "
+            f"{'':22}native {per_element['vadd_native']:8.0f}"
         )
         for direction, times in per_butterfly.items():
             print(
@@ -185,6 +219,7 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
             )
     benchmark.extra_info["floor_ntt_speedup"] = floor
     benchmark.extra_info["floor_vmul_speedup"] = vmul_floor
+    benchmark.extra_info["floor_vadd_speedup"] = vadd_floor
     for bits in WIDTHS:
         per_element = measured[bits][0]
         speedup = per_element["bigint"] / per_element["native"]
@@ -192,6 +227,12 @@ def test_native_ntt_beats_bigint(run_once, benchmark, floor_scale):
         assert speedup >= vmul_floor, (
             f"native {bits}-bit vmul is only {speedup:.2f}x as fast as bigints; "
             f"expected at least {vmul_floor:g}x ({REQUIRED_VMUL_SPEEDUP}x x {floor_scale:g})"
+        )
+        speedup = per_element["vadd_bigint"] / per_element["vadd_native"]
+        benchmark.extra_info[f"vadd_speedup_{bits}"] = speedup
+        assert bits not in VADD_FLOOR_WIDTHS or speedup >= vadd_floor, (
+            f"native {bits}-bit vadd is only {speedup:.2f}x as fast as bigints; "
+            f"expected at least {vadd_floor:g}x ({REQUIRED_VADD_SPEEDUP}x x {floor_scale:g})"
         )
     for bits in FLOOR_WIDTHS:
         for direction, times in measured[bits][1].items():

@@ -19,7 +19,9 @@ machine code in one call instead of one Python call per element.
   resolves to, with its size and modification time) and the flags.  An
   entry is installed by atomic rename and ends in a trailer holding the
   digest of the library bytes, so a truncated or damaged entry is rebuilt
-  instead of loaded.
+  instead of loaded.  A kernel object built again in the same process (a
+  second engine over a session's cached kernel) reuses its loaded library
+  without emitting or hashing the source.
 * **Compiler.** ``cc`` is looked up on ``PATH`` at each build, never at
   import, and runs only on a cache miss: a warm cache spawns no process.
 * **Layout.** A vector argument is packed limb-major: each element's
@@ -29,11 +31,18 @@ machine code in one call instead of one Python call per element.
   that layout: ``repro_pack`` validates and packs a list or tuple in one
   pass (each element an ``int`` that fits its limbs and lies below an
   optional bound, optionally gathered through an index array) and
-  ``repro_unpack`` builds the list back.  It uses the Python C API, so it
-  is built once per interpreter against that interpreter's ``Python.h``
-  and loaded with :class:`ctypes.PyDLL`; its cache entry adds the
-  interpreter's ABI tag and include directory to the key.  The kernel
-  libraries stay interpreter-independent.
+  ``repro_unpack`` builds the list back.  It reads each int's
+  ``PyLong_SHIFT``-bit digits in place and writes the words straight into
+  the buffer, and builds a result from its digits the same way, through
+  the layout ``longintrepr.h`` declares: the digit count and sign sit in
+  ``ob_size`` on 3.10-3.11 and in ``lv_tag`` on 3.12+.  It uses the Python
+  C API, so it is built once per interpreter against that interpreter's
+  ``Python.h`` and loaded with :class:`ctypes.PyDLL`; its cache entry adds
+  the interpreter's ABI tag and include directory to the key.  The kernel
+  libraries stay interpreter-independent.  Each buffer is one allocation,
+  and the limbs of uniform values and the packed bound are derived once
+  per value and kept for later calls, so a fixed modulus costs nothing
+  after the first call.
 * **Transform.** For a Cooley-Tukey butterfly the library also exports
   ``<kernel>_ntt``, which runs all ``log2(n)`` stages of the iterative
   transform (:mod:`repro.ntt.iterative`) in place over an array already in
@@ -58,6 +67,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from array import array
 from collections.abc import Sequence
 from pathlib import Path
@@ -98,6 +108,11 @@ _TYPECODES = {
 # the same source is a dictionary lookup, not a disk read.
 _LOCK = threading.Lock()
 _LOADED: dict[Path, object] = {}
+# The cache path each live kernel object was built into, by its id and the
+# lanes it was built for: a session's cached kernel built again (by a second
+# engine over it) is neither emitted nor hashed.  The weak reference drops
+# the entry with the kernel, whose id may then be reused.
+_BUILT: dict[tuple[int, int], tuple[weakref.ref, Path]] = {}
 
 
 def cache_directory() -> Path:
@@ -122,19 +137,29 @@ def native_build(kernel: Kernel) -> NativeKernel | None:
 def compile_native(kernel: Kernel) -> NativeKernel:
     """Build (or load from the cache) a legalized kernel's library: the
     lane unit on a host with the AVX-512 features it needs, else the
-    ``c99`` unit."""
+    ``c99`` unit.  A kernel object this process has built before, while
+    its library stays loaded, is not emitted again."""
     converter = _converter()  # first: without headers, nothing is compiled
     with _LOCK:  # concurrent first builds probe the CPU once
         lanes = _host_lanes()
-    if lanes == LANES:
-        source = generate_lanes(kernel, transform=_is_cooley_tukey(kernel))
-        library = _load(source, FLAGS + ISA_FLAGS)
-    else:
-        source = generate_c99(kernel)
-        if _is_cooley_tukey(kernel):
-            types = CTypes.for_word_bits(kernel.metadata.get("word_bits", 64))
-            source += "\n" + generate_transform_function(kernel, types) + "\n"
-        library = _load(source)
+        entry = (id(kernel), lanes)
+        built = _BUILT.get(entry)
+        library = None if built is None or built[0]() is not kernel else _LOADED.get(built[1])
+    if library is None:
+        if lanes == LANES:
+            source = generate_lanes(kernel, transform=_is_cooley_tukey(kernel))
+            path, library = _load(source, FLAGS + ISA_FLAGS)
+        else:
+            source = generate_c99(kernel)
+            if _is_cooley_tukey(kernel):
+                types = CTypes.for_word_bits(kernel.metadata.get("word_bits", 64))
+                source += "\n" + generate_transform_function(kernel, types) + "\n"
+            path, library = _load(source)
+        # The callback takes no lock: it may run in a collection that this
+        # thread starts while holding _LOCK.
+        alive = weakref.ref(kernel, lambda _, entry=entry: _BUILT.pop(entry, None))
+        with _LOCK:
+            _BUILT[entry] = (alive, path)
     return NativeKernel(kernel, library, converter, lanes)
 
 
@@ -237,93 +262,133 @@ def generate_transform_function(kernel: Kernel, types: CTypes) -> str:
 # -- conversion helper -----------------------------------------------------------
 
 #: The helper moving values between Python ints and the limb layout.  An
-#: element is ``width`` bytes of ``word``-byte machine words, the most
-#: significant first, each in native byte order.  It reads Python objects,
-#: so it runs with the interpreter lock held (:class:`ctypes.PyDLL`), and
-#: it never calls back into Python: no ``__index__``, no comparison hooks.
+#: element is ``words`` machine words of ``word`` bytes (8 or 4), the most
+#: significant first, each in native byte order.  It reads an int's digits
+#: in place and writes a result's digits into a new int, through the
+#: layout ``longintrepr.h`` declares (``Python.h`` includes it), so it runs
+#: with the interpreter lock held (:class:`ctypes.PyDLL`) and never calls
+#: back into Python: no ``__index__``, no comparison hooks.
 _CONVERTER_SOURCE = r"""
 #include <Python.h>
 #include <stdint.h>
-#include <string.h>
 
-/* Reverse the order of the words at p: on a little-endian host, between a
-   number's native byte order and the most significant word first. */
-static void reverse_words(unsigned char *p, Py_ssize_t width, Py_ssize_t word)
+/* An int's magnitude is its digits, PyLong_SHIFT bits each, least
+   significant first, the top one nonzero.  3.12 moved the digit count and
+   the sign from ob_size into lv_tag. */
+#if PY_VERSION_HEX >= 0x030C0000
+#define DIGITS(v) (((PyLongObject *)(v))->long_value.ob_digit)
+#define DIGIT_COUNT(v) \
+    ((Py_ssize_t)(((PyLongObject *)(v))->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
+#define NEGATIVE(v) ((((PyLongObject *)(v))->long_value.lv_tag & _PyLong_SIGN_MASK) == 2)
+#else
+#define DIGITS(v) (((PyLongObject *)(v))->ob_digit)
+#define DIGIT_COUNT(v) Py_ABS(Py_SIZE(v))
+#define NEGATIVE(v) (Py_SIZE(v) < 0)
+#endif
+
+/* Word k of the words words at p, counting from the least significant
+   (the last); a word is 8 or 4 bytes. */
+static uint64_t word_at(const void *p, Py_ssize_t words, Py_ssize_t k, Py_ssize_t word)
 {
-    unsigned char *low = p, *high = p + width - word;
-    if (word == 8) {
-        for (; low < high; low += 8, high -= 8) {
-            uint64_t a, b;
-            memcpy(&a, low, 8); memcpy(&b, high, 8);
-            memcpy(low, &b, 8); memcpy(high, &a, 8);
-        }
-    } else {
-        for (; low < high; low += 4, high -= 4) {
-            uint32_t a, b;
-            memcpy(&a, low, 4); memcpy(&b, high, 4);
-            memcpy(low, &b, 4); memcpy(high, &a, 4);
-        }
-    }
+    return word == 8 ? ((const uint64_t *)p)[words - 1 - k]
+                     : ((const uint32_t *)p)[words - 1 - k];
 }
 
-/* Whether the element at p is below the element at bound. */
-static int below(const unsigned char *p, const unsigned char *bound,
-                 Py_ssize_t width, Py_ssize_t word)
+static void set_word(void *p, Py_ssize_t words, Py_ssize_t k, Py_ssize_t word, uint64_t value)
 {
-    Py_ssize_t at;
-    for (at = 0; at < width; at += word) {
-        uint64_t a, b;
-        if (word == 8) {
-            memcpy(&a, p + at, 8); memcpy(&b, bound + at, 8);
-        } else {
-            uint32_t a32, b32;
-            memcpy(&a32, p + at, 4); memcpy(&b32, bound + at, 4);
-            a = a32; b = b32;
+    if (word == 8)
+        ((uint64_t *)p)[words - 1 - k] = value;
+    else
+        ((uint32_t *)p)[words - 1 - k] = (uint32_t)value;
+}
+
+/* Pack the int v into the words words at out: 0, or -1 when v is negative
+   or needs more than words words. */
+static int to_words(PyObject *v, void *out, Py_ssize_t words, Py_ssize_t word)
+{
+    const digit *d = DIGITS(v);
+    const Py_ssize_t n = DIGIT_COUNT(v);
+    const int size = (int)word * 8;
+    Py_ssize_t j, k = 0;
+    uint64_t acc = 0; /* the have bits not yet in a word */
+    int have = 0;
+    if (NEGATIVE(v)
+            || (n > 0 && (n - 1) * PyLong_SHIFT + 32 - __builtin_clz(d[n - 1]) > words * size))
+        return -1;
+    for (j = 0; j < n; ++j) {
+        acc |= (uint64_t)d[j] << have;
+        have += PyLong_SHIFT;
+        if (have >= size) {
+            set_word(out, words, k++, word, acc);
+            have -= size;
+            acc = have ? (uint64_t)d[j] >> (PyLong_SHIFT - have) : 0;
         }
+    }
+    for (; k < words; ++k, acc = 0)
+        set_word(out, words, k, word, acc);
+    return 0;
+}
+
+/* A new int of the words words at p, or NULL with an exception set. */
+static PyObject *from_words(const void *p, Py_ssize_t words, Py_ssize_t word)
+{
+    const int size = (int)word * 8;
+    Py_ssize_t used = words, n, j = 0, k;
+    PyLongObject *v;
+    digit *d;
+    uint64_t acc = 0; /* the have bits not yet in a digit */
+    int have = 0;
+    while (used > 1 && word_at(p, words, used - 1, word) == 0)
+        --used;
+    /* At most 64 bits: the interpreter's constructor, which shares small ints. */
+    if (used * size <= 64)
+        return PyLong_FromUnsignedLongLong(
+            used == 1 ? word_at(p, words, 0, word)
+                      : word_at(p, words, 1, word) << 32 | word_at(p, words, 0, word));
+    n = ((used - 1) * size + 64 - __builtin_clzll(word_at(p, words, used - 1, word))
+         + PyLong_SHIFT - 1) / PyLong_SHIFT;
+    if ((v = _PyLong_New(n)) == NULL)
+        return NULL;
+    d = DIGITS(v);
+    for (k = 0; k < used; ++k) {
+        uint64_t w = word_at(p, words, k, word);
+        int left = size; /* bits of w not yet in a digit */
+        while (have + left >= PyLong_SHIFT && j < n) {
+            d[j++] = (digit)((acc | w << have) & PyLong_MASK);
+            left -= PyLong_SHIFT - have;
+            w >>= PyLong_SHIFT - have;
+            acc = 0;
+            have = 0;
+        }
+        acc |= w << have;
+        have += left;
+    }
+    if (j < n)
+        d[j] = (digit)acc;
+    return (PyObject *)v;
+}
+
+/* Whether the words words at p are below those at bound. */
+static int below(const void *p, const void *bound, Py_ssize_t words, Py_ssize_t word)
+{
+    Py_ssize_t k = words;
+    while (k-- > 0) {
+        uint64_t a = word_at(p, words, k, word), b = word_at(bound, words, k, word);
         if (a != b)
             return a < b;
     }
     return 0;
 }
 
-/* The int v as width bytes in native byte order: 0, or -1 with no
-   exception set when v is negative or needs more than width bytes. */
-static int to_bytes(PyObject *v, unsigned char *out, Py_ssize_t width)
-{
-#if PY_VERSION_HEX >= 0x030D0000
-    Py_ssize_t needed = PyLong_AsNativeBytes(
-        v, out, width,
-        Py_ASNATIVEBYTES_NATIVE_ENDIAN | Py_ASNATIVEBYTES_UNSIGNED_BUFFER
-            | Py_ASNATIVEBYTES_REJECT_NEGATIVE);
-    if (needed >= 0 && needed <= width)
-        return 0;
-#else
-    if (_PyLong_AsByteArray((PyLongObject *)v, out, (size_t)width, PY_LITTLE_ENDIAN, 0) == 0)
-        return 0;
-#endif
-    PyErr_Clear();
-    return -1;
-}
-
-static PyObject *from_bytes(const unsigned char *p, Py_ssize_t width)
-{
-#if PY_VERSION_HEX >= 0x030D0000
-    return PyLong_FromUnsignedNativeBytes(p, (size_t)width, Py_ASNATIVEBYTES_NATIVE_ENDIAN);
-#else
-    return _PyLong_FromByteArray(p, (size_t)width, PY_LITTLE_ENDIAN, 0);
-#endif
-}
-
 /* Validate and pack values, a list or tuple of count items, into out
-   (count * width bytes): element i is values[i], or values[order[i]] when
-   order is not NULL.  Each must be an int that fits width bytes and, when
-   bound is not NULL, lies below the element there.  Returns -1 when all
-   are packed, else the index in values of the first refused one; -2 when
-   values is not a list or tuple of count items or an order index is out
-   of range. */
+   (count * words words of word bytes): element i is values[i], or
+   values[order[i]] when order is not NULL.  Each must be an int that fits
+   words words and, when bound is not NULL, lies below the element there.
+   Returns -1 when all are packed, else the index in values of the first
+   refused one; -2 when values is not a list or tuple of count items or an
+   order index is out of range. */
 Py_ssize_t repro_pack(PyObject *values, Py_ssize_t count, const long long *order,
-                      const unsigned char *bound, Py_ssize_t width, Py_ssize_t word,
-                      unsigned char *out)
+                      const void *bound, Py_ssize_t words, Py_ssize_t word, void *out)
 {
     PyObject **items;
     Py_ssize_t i;
@@ -331,53 +396,33 @@ Py_ssize_t repro_pack(PyObject *values, Py_ssize_t count, const long long *order
             || PySequence_Fast_GET_SIZE(values) != count)
         return -2;
     items = PySequence_Fast_ITEMS(values);
-    for (i = 0; i < count; ++i, out += width) {
+    for (i = 0; i < count; ++i, out = (char *)out + words * word) {
         Py_ssize_t at = i;
         if (order != NULL) {
             if (order[i] < 0 || order[i] >= count)
                 return -2;
             at = (Py_ssize_t)order[i];
         }
-        if (!PyLong_Check(items[at]) || to_bytes(items[at], out, width) < 0)
-            return at;
-#if PY_LITTLE_ENDIAN
-        reverse_words(out, width, word);
-#endif
-        if (bound != NULL && !below(out, bound, width, word))
+        if (!PyLong_Check(items[at]) || to_words(items[at], out, words, word) < 0
+                || (bound != NULL && !below(out, bound, words, word)))
             return at;
     }
     return -1;
 }
 
-/* A new list of the count elements at data (count * width bytes), or NULL
-   with an exception set. */
-PyObject *repro_unpack(const unsigned char *data, Py_ssize_t count,
-                       Py_ssize_t width, Py_ssize_t word)
+/* A new list of the count elements at data (count * words words of word
+   bytes), or NULL with an exception set. */
+PyObject *repro_unpack(const void *data, Py_ssize_t count, Py_ssize_t words, Py_ssize_t word)
 {
     PyObject *list = PyList_New(count);
-    unsigned char *scratch;
     Py_ssize_t i;
-    if (list == NULL)
-        return NULL;
-    scratch = PyMem_Malloc((size_t)width);
-    if (scratch == NULL) {
-        Py_DECREF(list);
-        return PyErr_NoMemory();
-    }
-    for (i = 0; i < count; ++i, data += width) {
-        PyObject *value;
-        memcpy(scratch, data, (size_t)width);
-#if PY_LITTLE_ENDIAN
-        reverse_words(scratch, width, word);
-#endif
-        value = from_bytes(scratch, width);
-        if (value == NULL) {
+    for (i = 0; list != NULL && i < count; ++i, data = (const char *)data + words * word) {
+        PyObject *value = from_words(data, words, word);
+        if (value == NULL)
             Py_CLEAR(list);
-            break;
-        }
-        PyList_SET_ITEM(list, i, value);
+        else
+            PyList_SET_ITEM(list, i, value);
     }
-    PyMem_Free(scratch);
     return list;
 }
 """
@@ -402,7 +447,7 @@ def _converter():
             "the native target needs this interpreter's C headers: no Python.h under "
             f"{sysconfig.get_path('include')}"
         )
-    return _load(_CONVERTER_SOURCE, (*FLAGS, f"-I{include}"), sysconfig.get_config_var("SOABI") or "")
+    return _load(_CONVERTER_SOURCE, (*FLAGS, f"-I{include}"), sysconfig.get_config_var("SOABI") or "")[1]
 
 
 # -- build cache -----------------------------------------------------------------
@@ -424,8 +469,9 @@ def _compiler() -> tuple[str, str]:
     return compiler, f"{resolved}\0{stat.st_size}\0{stat.st_mtime_ns}"
 
 
-def _load(source: str, flags: tuple[str, ...] = FLAGS, abi: str | None = None):
-    """The loaded library for ``source``, building it on a cache miss.
+def _load(source: str, flags: tuple[str, ...] = FLAGS, abi: str | None = None) -> tuple[Path, object]:
+    """The cache path and loaded library for ``source``, building it on a
+    cache miss.
 
     ``abi`` (an interpreter's ABI tag) marks a library that uses the Python
     C API: the tag joins its cache key, its entry is named ``convert-*``,
@@ -443,7 +489,7 @@ def _load(source: str, flags: tuple[str, ...] = FLAGS, abi: str | None = None):
     with _LOCK:
         library = _LOADED.get(path)
     if library is not None:
-        return library
+        return path, library
     if not _intact(path):
         with path_lock(path):
             if not _intact(path):  # nobody installed it while we waited
@@ -453,7 +499,7 @@ def _load(source: str, flags: tuple[str, ...] = FLAGS, abi: str | None = None):
                 )
     library = ctypes.CDLL(str(path)) if abi is None else ctypes.PyDLL(str(path))
     with _LOCK:
-        return _LOADED.setdefault(path, library)
+        return path, _LOADED.setdefault(path, library)
 
 
 def _intact(path: Path) -> bool:
@@ -495,6 +541,10 @@ def _compile(compiler: str, source: str, directory: Path, flags: tuple[str, ...]
 
 # -- the loaded kernel -------------------------------------------------------------
 
+#: How many modulus constants (uniform limbs, packed bounds) a kernel keeps.
+_KEPT_CONSTANTS = 16
+_MISSING = object()
+
 
 class NativeKernel:
     """A legalized kernel's library, bound with :mod:`ctypes`.
@@ -518,6 +568,7 @@ class NativeKernel:
         self.word_bits = metadata.get("word_bits", 64)
         self._word_bytes = self.word_bits // 8
         self._typecode = _TYPECODES[self.word_bits]
+        self._zero = array(self._typecode, [0])
         self._layout = dict(metadata["param_layout"])
         self._limits = {
             name: effective if effective is not None else bits
@@ -567,6 +618,8 @@ class NativeKernel:
         self._unpack_values.restype = ctypes.py_object
         # Keep the shared objects mapped.
         self._libraries = (library, converter)
+        # Limbs of uniform values and packed bounds, by (name or limbs, value).
+        self._constants: dict[tuple, object] = {}
 
     @property
     def lanes(self) -> int:
@@ -591,20 +644,14 @@ class NativeKernel:
         count = len(values)
         if order is not None and (order.typecode != "q" or len(order) != count):
             raise CodegenError(f"a gather order for {count} values must be array('q') of {count}")
-        width = limbs * self._word_bytes
-        data = array(self._typecode, bytes(count * width))
-        # A bound no narrower than the limbs refuses nothing they can hold.
-        below = (
-            self._pack([bound], limbs)
-            if bound is not None and bound < 1 << limbs * self.word_bits
-            else None
-        )
+        data = self._zero * (count * limbs)
+        below = None if bound is None else self._constant(self._packed_bound, limbs, bound)
         refused = self._pack_values(
             values,
             count,
             None if order is None else order.buffer_info()[0],
             None if below is None else below.buffer_info()[0],
-            width,
+            limbs,
             self._word_bytes,
             data.buffer_info()[0],
         )
@@ -622,11 +669,14 @@ class NativeKernel:
         return data
 
     def _unpack(self, data: array, limbs: int) -> list[int]:
-        return self._unpack_values(
-            data.buffer_info()[0], len(data) // limbs, limbs * self._word_bytes, self._word_bytes
-        )
+        return self._unpack_values(data.buffer_info()[0], len(data) // limbs, limbs, self._word_bytes)
 
-    def _scalar_limbs(self, name: str, value: int) -> list[int]:
+    def _packed_bound(self, limbs: int, bound: int) -> array | None:
+        """``bound`` as one element of ``limbs`` words, or ``None`` when it
+        refuses nothing they can hold."""
+        return self._pack([bound], limbs) if bound < 1 << limbs * self.word_bits else None
+
+    def _scalar_limbs(self, name: str, value: int) -> tuple[int, ...]:
         """A uniform value split into its kept limbs, most significant first."""
         limit = self._limits[name]
         try:
@@ -640,11 +690,26 @@ class NativeKernel:
         layout = self._layout[name]
         mask = (1 << self.word_bits) - 1
         top = self.word_bits * (len(layout) - 1)
-        return [
+        return tuple(
             (value >> (top - self.word_bits * index)) & mask
             for index, limb in enumerate(layout)
             if limb is not None
-        ]
+        )
+
+    def _constant(self, derive, key, value):
+        """``derive(key, value)``, kept for the next calls when ``value`` is
+        an ``int``: callers pass the same modulus call after call.  A few
+        values are kept at a time, never one ``derive`` refused; concurrent
+        calls at worst derive one twice."""
+        if type(value) is not int:
+            return derive(key, value)
+        found = self._constants.get((key, value), _MISSING)
+        if found is _MISSING:
+            found = derive(key, value)
+            if len(self._constants) >= _KEPT_CONSTANTS:
+                self._constants.clear()
+            self._constants[key, value] = found
+        return found
 
     # -- entry points --------------------------------------------------------
 
@@ -668,13 +733,13 @@ class NativeKernel:
         arguments, buffers = [], []
         for name, limbs in self._params:
             if name in self._uniform:
-                arguments += self._scalar_limbs(name, scalars[name])
+                arguments += self._constant(self._scalar_limbs, name, scalars[name])
             else:
                 buffers.append(self._pack(vectors[name], limbs, bound))
                 arguments.append(buffers[-1].buffer_info()[0])
         outputs = []
         for name, limbs in self._outputs:
-            outputs.append((name, limbs, array(self._typecode, bytes(count * limbs * self._word_bytes))))
+            outputs.append((name, limbs, self._zero * (count * limbs)))
             arguments.append(outputs[-1][2].buffer_info()[0])
         self._batch(*arguments, count)
         return {name: self._unpack(data, limbs) for name, limbs, data in outputs}
@@ -712,7 +777,7 @@ class NativeKernel:
             limb
             for name, _ in self._params
             if name in self._uniform
-            for limb in self._scalar_limbs(name, scalars[name])
+            for limb in self._constant(self._scalar_limbs, name, scalars[name])
         ]
         self._transform(
             data.buffer_info()[0],

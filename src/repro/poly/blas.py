@@ -171,6 +171,8 @@ class MomaBlasEngine(BlasEngine):
         }
         if None in self._native.values():
             self._native = {}
+        # The last modulus and its Barrett mu: callers reuse one modulus.
+        self._barrett: tuple[int | None, int] = (None, 0)
 
     @property
     def backend(self) -> str:
@@ -178,9 +180,12 @@ class MomaBlasEngine(BlasEngine):
         return "native" if self._native else "python_exec"
 
     def _mu(self, q: int) -> int:
-        modulus_bits = self.config.effective_modulus_bits
-        params = BarrettParams.create(q, modulus_bits + 4, modulus_bits)
-        return params.mu
+        last, mu = self._barrett
+        if q != last or type(q) is not int:
+            modulus_bits = self.config.effective_modulus_bits
+            mu = BarrettParams.create(q, modulus_bits + 4, modulus_bits).mu
+            self._barrett = (q, mu)
+        return mu
 
     def _check(self, q: int, x, y) -> None:
         """The input checks that run before the kernels.  The native pass

@@ -13,6 +13,7 @@ a second run is warm.  The conversion helper is built against the
 interpreter's headers, so the module also needs ``Python.h``.
 """
 
+import gc
 import random
 import shutil
 import subprocess
@@ -37,7 +38,7 @@ from repro.errors import ArithmeticDomainError, CodegenError, KernelError
 from repro.kernels import KernelConfig, build_blas_kernel, compile_blas_kernel
 from repro.ntt.generated import GeneratedNTT
 from repro.ntt.iterative import ntt_forward, ntt_inverse
-from repro.ntt.planner import bit_reverse_permutation
+from repro.ntt.planner import bit_reverse_permutation, make_plan
 from repro.poly.blas import MomaBlasEngine
 
 pytestmark = [
@@ -433,6 +434,120 @@ class TestBoundaryChecks:
                 transform.inverse([0] * 15 + [0.5])
 
 
+class TestModulusConstants:
+    """Each kernel keeps its modulus constants (Barrett mu, uniform limbs,
+    the packed bound) across calls: a different modulus, a refused one or a
+    concurrent caller must never be served another's."""
+
+    CONFIG = KernelConfig(bits=128)
+
+    def _moduli(self):
+        bits = self.CONFIG.effective_modulus_bits
+        rng = random.Random(5)
+        return [rng.randrange(1 << (bits - 1), 1 << bits) | 1 for _ in range(2)]
+
+    def test_alternating_moduli_match_bigints(self, session):
+        engine = MomaBlasEngine(self.CONFIG, session=session)
+        q1, q2 = self._moduli()
+        rng = random.Random(6)
+        for q in (q1, q2, q1, q2):
+            x, y = _operands(q, 64, rng)
+            assert engine.vmul(x, y, q) == _bigint("vmul", x, y, {"q": q}), q
+            assert engine.axpy(q - 2, x, y, q) == _bigint("axpy", x, y, {"q": q, "a": q - 2}), q
+            assert engine.vadd(x, y, q) == _bigint("vadd", x, y, {"q": q}), q
+
+    def test_one_transform_kernel_alternates_moduli(self, session):
+        plans = [make_plan(16, self.CONFIG.effective_modulus_bits, seed=seed) for seed in (0, 1000)]
+        assert plans[0].modulus != plans[1].modulus
+        built = GeneratedNTT(16, self.CONFIG, plan=plans[0], session=session)._native
+        order = array("q", bit_reverse_permutation(16))
+        rng = random.Random(7)
+        for plan in (*plans, *plans):
+            values = [rng.randrange(plan.modulus) for _ in range(16)]
+            scalars = {"q": plan.modulus, "mu": plan.mu}
+            forward = built.transform(
+                values, order, built.pack("w", plan.forward_twiddles()), scalars, plan.modulus
+            )
+            assert forward == ntt_forward(values, plan)
+            inverse = built.transform(
+                forward,
+                order,
+                built.pack("w", plan.inverse_twiddles()),
+                scalars,
+                plan.modulus,
+                built.pack("w", [plan.size_inverse]),
+            )
+            assert inverse == values == ntt_inverse(forward, plan)
+
+    def test_a_refused_modulus_is_refused_on_every_call(self, session):
+        engine = MomaBlasEngine(self.CONFIG, session=session)
+        q, _ = self._moduli()
+        x, y = [0, 1, q - 1], [q - 1, 1, 0]
+        wide = (1 << 130) + 1
+        for operation, error in [
+            ("vadd", CodegenError),
+            ("vsub", CodegenError),
+            ("vmul", ArithmeticDomainError),
+            ("axpy", ArithmeticDomainError),
+        ]:
+
+            def call(modulus):
+                if operation == "axpy":
+                    return engine.axpy(1, x, y, modulus)
+                return getattr(engine, operation)(x, y, modulus)
+
+            for refused, raised in [(wide, error), (2, ArithmeticDomainError)]:
+                for _ in range(3):
+                    with pytest.raises(raised):
+                        call(refused)
+                assert call(q) == _bigint(operation, x, y, {"q": q, "a": 1}), (operation, refused)
+                with pytest.raises(raised):
+                    call(refused)
+
+    def test_a_refused_scalar_or_bound_is_refused_on_every_call(self, session):
+        built = MomaBlasEngine(self.CONFIG, session=session)._native["vadd"]
+        q, _ = self._moduli()
+        for _ in range(3):
+            for scalars, bound in [({"q": q + 0.0}, q), ({"q": -q}, q), ({"q": q}, -q), ({"q": q}, 1.5)]:
+                with pytest.raises(CodegenError):
+                    built.batch({"x": [1], "y": [2]}, scalars, bound)
+            assert built.batch({"x": [1], "y": [2]}, {"q": q}, q)["z"] == [3]
+
+    def test_threads_alternating_moduli_match_bigints(self, session):
+        engine = MomaBlasEngine(self.CONFIG, session=session)
+        moduli = self._moduli()
+        operands = {}
+        for q in moduli:
+            x, y = _operands(q, 64, random.Random(q))
+            operands[q] = (x, y, _bigint("vmul", x, y, {"q": q}), _bigint("axpy", x, y, {"q": q, "a": 3}))
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def alternate(first):
+            try:
+                barrier.wait(timeout=10)
+                for step in range(200):
+                    q = moduli[(first + step) % 2]
+                    x, y, product, scaled = operands[q]
+                    if engine.vmul(x, y, q) != product or engine.axpy(3, x, y, q) != scaled:
+                        errors.append((first, step, q))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=alternate, args=(index % 2,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
 def _without_compiler(build):
     """Run ``build`` with no ``cc`` to be found and no process spawnable."""
     with pytest.MonkeyPatch.context() as patch:
@@ -513,6 +628,41 @@ class _Index:
         return 1
 
 
+class _Int(int):
+    """An ``int`` subclass: packed like the ``int`` it is."""
+
+
+#: Every limb count the engines pack (up to 1,024 bits), at each word width.
+LIMB_CASES = [(64, limbs) for limbs in range(1, 17)] + [(32, limbs) for limbs in range(1, 33)]
+
+
+@pytest.fixture(scope="module")
+def helpers(session):
+    """A library per word width: its conversion helper packs any limb count."""
+    return {
+        word_bits: native.compile_native(
+            compile_blas_kernel("vadd", KernelConfig(bits=128, word_bits=word_bits), session=session).kernel
+        )
+        for word_bits in (64, 32)
+    }
+
+
+def _digit_and_word_edges(word_bits, limbs):
+    """0, 1 and the values either side of every digit boundary (2^(s*k),
+    for the interpreter's digit width s) and every word boundary (2^(w*k))
+    that ``limbs`` words hold, all-ones included."""
+    top = word_bits * limbs
+    shift = sys.int_info.bits_per_digit
+    powers = {0, 1} | {shift * k for k in range(1, top // shift + 1)}
+    powers |= {word_bits * k for k in range(1, limbs + 1)}
+    return sorted({value for power in powers for value in ((1 << power) - 1, 1 << power) if value < 1 << top})
+
+
+def _from_words(words, word_bits):
+    """The int whose words are ``words``, most significant first."""
+    return int.from_bytes(b"".join(word.to_bytes(word_bits // 8, "big") for word in words), "big")
+
+
 class TestConverter:
     def test_round_trips_at_kept_limbs_and_full_container(self, packer):
         built, config, kept, container = packer
@@ -550,6 +700,55 @@ class TestConverter:
         assert built._pack(tuple(values), kept, q) == built._pack(values, kept, q)
         with pytest.raises(CodegenError, match=r"^element 1 = "):
             built._pack((0, q, 1), kept, q)
+
+    @pytest.mark.parametrize("word_bits, limbs", LIMB_CASES, ids=[f"w{w}x{k}" for w, k in LIMB_CASES])
+    def test_digit_and_word_edges_at_every_limb_count(self, helpers, word_bits, limbs):
+        built = helpers[word_bits]
+        edges = _digit_and_word_edges(word_bits, limbs)
+        values = [*edges, True, False, _Int(5), _Int((1 << word_bits * limbs) - 1)]
+        data = built._pack(values, limbs)
+        assert data.tolist() == [limb for value in values for limb in _limbs(value, limbs, word_bits)]
+        unpacked = built._unpack(data, limbs)
+        assert unpacked == values and {type(value) for value in unpacked} == {int}
+        # Each edge as a bound: itself refused, one below accepted.
+        for bound in edges[1:]:
+            assert built._pack([bound - 1], limbs, bound).tolist() == _limbs(bound - 1, limbs, word_bits)
+            with pytest.raises(CodegenError, match=r"^element 1 = "):
+                built._pack([0, bound], limbs, bound)
+        too_wide = 1 << word_bits * limbs
+        for bad in (too_wide, too_wide + 1, (too_wide << 1) - 1, -1, -too_wide, _Int(-1)):
+            with pytest.raises(CodegenError, match=r"^element 2 = "):
+                built._pack([0, 1, bad], limbs)
+
+    @pytest.mark.parametrize("word_bits, limbs", LIMB_CASES, ids=[f"w{w}x{k}" for w, k in LIMB_CASES])
+    def test_raw_words_unpack_like_int_from_bytes(self, helpers, word_bits, limbs):
+        built = helpers[word_bits]
+        ones, top_bit = (1 << word_bits) - 1, 1 << (word_bits - 1)
+        rng = random.Random(word_bits * limbs)
+        patterns = [
+            [0] * limbs,
+            [ones] * limbs,
+            [top_bit] + [0] * (limbs - 1),
+            [top_bit] * limbs,
+            *([0] * zeros + [rng.getrandbits(word_bits) | 1] * (limbs - zeros) for zeros in range(limbs)),
+            *([rng.getrandbits(word_bits) for _ in range(limbs)] for _ in range(8)),
+        ]
+        data = array(built._typecode, [word for pattern in patterns for word in pattern])
+        assert built._unpack(data, limbs) == [_from_words(pattern, word_bits) for pattern in patterns]
+
+    @pytest.mark.parametrize("word_bits", [64, 32])
+    def test_a_gather_order_packs_the_permuted_values(self, helpers, word_bits):
+        built = helpers[word_bits]
+        rng = random.Random(word_bits)
+        for limbs in (1, 3, 12):
+            values = [rng.getrandbits(word_bits * limbs) for _ in range(33)]
+            order = list(range(len(values)))
+            rng.shuffle(order)
+            data = built._pack(values, limbs, None, array("q", order))
+            assert built._unpack(data, limbs) == [values[index] for index in order]
+            bound = max(values)
+            with pytest.raises(CodegenError, match=rf"^element {values.index(bound)} = "):
+                built._pack(values, limbs, bound, array("q", order))
 
     def test_no_leaks(self, packer):
         built, config, kept, _ = packer
@@ -631,6 +830,42 @@ class TestBuildCache:
         _check_vadd(built)
         kernels, converters = _entries(private_cache)
         assert (len(kernels), len(converters)) == (1, 1)
+
+    def test_a_kernel_built_again_is_neither_emitted_nor_hashed(self, monkeypatch):
+        """A second engine over a session's cached kernels reuses their
+        libraries: no C unit is emitted and no source is hashed."""
+        session, config = CompilerSession(), KernelConfig(bits=128)
+        emitted, hashed = [], []
+        for name in ("generate_lanes", "generate_c99", "generate_transform_function"):
+            emit = getattr(native, name)
+            monkeypatch.setattr(
+                native, name, lambda *args, _emit=emit, **kwargs: emitted.append(1) or _emit(*args, **kwargs)
+            )
+        load = native._load
+        monkeypatch.setattr(
+            native,
+            "_load",
+            lambda source, *args: (source != native._CONVERTER_SOURCE and hashed.append(1)) or load(source, *args),
+        )
+        MomaBlasEngine(config, session=session)
+        GeneratedNTT(16, config, session=session)
+        assert len(emitted) >= 5 and len(hashed) == 5  # four BLAS kernels and the butterfly
+        del emitted[:], hashed[:]
+        engine = MomaBlasEngine(config, session=session)
+        transform = GeneratedNTT(16, config, session=session)
+        assert (emitted, hashed) == ([], [])
+        q = transform.modulus
+        assert engine.vmul([q - 1, 2], [q - 1, 3], q) == [1, 6]
+        assert transform.inverse(transform.forward(list(range(16)))) == list(range(16))
+
+    def test_a_dead_kernel_leaves_no_entry(self):
+        kernel = compile_blas_kernel("vadd", KernelConfig(bits=128), session=CompilerSession()).kernel
+        _check_vadd(native.compile_native(kernel))
+        key = id(kernel)
+        assert key in [entry for entry, _ in native._BUILT]
+        del kernel
+        gc.collect()
+        assert key not in [entry for entry, _ in native._BUILT]
 
     def test_warm_cache_spawns_no_compiler(self, private_cache, small_kernel, monkeypatch):
         native.compile_native(small_kernel)
