@@ -22,7 +22,7 @@ from repro.kernels import KernelConfig, build_butterfly_kernel, compile_butterfl
 from repro.evaluation.fig3_ntt import NTT_BIT_WIDTHS
 
 
-@pytest.mark.parametrize("bits", [128, 256, 384])
+@pytest.mark.parametrize("bits", [128, 256, 384, 768])
 def test_butterfly_codegen_throughput(benchmark, bits):
     config = KernelConfig(bits=bits)
     wide = build_butterfly_kernel(config)

@@ -428,8 +428,10 @@ PyObject *repro_unpack(const void *data, Py_ssize_t count, Py_ssize_t words, Py_
 """
 
 
+@functools.cache
 def _python_headers() -> str | None:
-    """This interpreter's include directory, if it holds ``Python.h``."""
+    """This interpreter's include directory, if it holds ``Python.h``: read
+    once per process, since the running interpreter's cannot change."""
     # Imported here, not with the package: only a native build asks.
     import sysconfig
 

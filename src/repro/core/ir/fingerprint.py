@@ -1,15 +1,18 @@
 """Structural fingerprints of kernels.
 
-Two distinct consumers need to know "is this the same kernel?":
+Two views answer "is this the same kernel?":
 
-* the optimization pipeline's fixed-point loop, which only has to detect
-  *change between rounds inside one process* — :func:`body_signature` builds a
-  cheap hashable tuple per statement (no string formatting) and hashes it;
-* the driver's content-addressed kernel cache, which needs a key that is
-  *stable across sessions and processes* — :func:`kernel_digest` feeds a
-  canonical rendering of the whole kernel (interface, body, metadata) through
-  SHA-256, so equal IR always produces the same hex key regardless of object
-  identity or hash randomization.
+* :func:`body_signature` detects *change inside one process*: it builds a
+  cheap hashable tuple per statement (no string formatting) and hashes it.
+  The optimization pipeline's fixed-point loop compares statement identities
+  instead, since its passes keep what they do not rewrite; the tests iterate
+  the passes until this hash repeats, as the structural reference that loop
+  must agree with;
+* the driver's content-addressed kernel cache needs a key that is *stable
+  across sessions and processes* — :func:`kernel_digest` feeds a canonical
+  rendering of the whole kernel (interface, body, metadata) through SHA-256,
+  so equal IR always produces the same hex key regardless of object identity
+  or hash randomization.
 
 Both walk the same per-statement structure, so the two views cannot drift
 apart.
@@ -53,9 +56,10 @@ def statement_signature(statement: Statement) -> tuple:
 def body_signature(kernel: Kernel) -> int:
     """A cheap intra-process hash of the kernel body.
 
-    Used by :func:`repro.core.passes.pipeline.optimize` to detect its fixed
-    point without re-stringifying every statement each round.  The value is
-    only meaningful within one process (``hash`` of strings is randomized per
+    Detects a structural change without re-stringifying every statement;
+    the structural reference for the fixed point of
+    :func:`repro.core.passes.pipeline.optimize`.  The value is only
+    meaningful within one process (``hash`` of strings is randomized per
     interpreter); use :func:`kernel_digest` for persistent keys.
     """
     return hash(tuple(statement_signature(statement) for statement in kernel.body))

@@ -60,7 +60,9 @@ def fold_constants(kernel: Kernel) -> Kernel:
     Statements whose destinations all become known constants are dropped
     (their values flow into later statements as constants), except when a
     destination is a kernel output, in which case a ``mov`` of the constant
-    is kept so the output remains defined.
+    is kept so the output remains defined.  A statement with no operand
+    rewritten, and an output's ``mov`` of its own folded constant, are kept
+    as the same object.
     """
     output_names = {output.name for output in kernel.outputs}
     known: dict[str, Const] = {}
@@ -68,31 +70,29 @@ def fold_constants(kernel: Kernel) -> Kernel:
 
     for statement in kernel.body:
         operands = tuple(_substitute(group, known) for group in statement.operands)
-        statement = Statement(statement.op, statement.dests, operands, dict(statement.attrs))
+        if operands != statement.operands:
+            statement = Statement(statement.op, statement.dests, operands, dict(statement.attrs))
 
         folded = _try_fold(statement, known)
         if folded is None:
             new_body.append(statement)
             continue
         # All destinations have compile-time values.
-        keep: list[Statement] = []
         for dest, value in folded.items():
-            known[dest.name] = Const(value, dest.type)
-            if dest.name in output_names:
-                keep.append(
-                    Statement(OpKind.MOV, Group((dest,)), (Group((Const(value, dest.type),)),))
-                )
-        new_body.extend(keep)
+            constant = Const(value, dest.type)
+            known[dest.name] = constant
+            if dest.name not in output_names:
+                continue
+            mov = Statement(OpKind.MOV, Group((dest,)), (Group((constant,)),))
+            new_body.append(statement if statement == mov else mov)
 
-    folded_kernel = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
         body=new_body,
         metadata=dict(kernel.metadata),
     )
-    folded_kernel.validate()
-    return folded_kernel
 
 
 def _try_fold(statement: Statement, known: dict[str, Const]):

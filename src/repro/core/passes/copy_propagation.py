@@ -18,7 +18,10 @@ __all__ = ["propagate_copies"]
 
 
 def propagate_copies(kernel: Kernel) -> Kernel:
-    """Return a new kernel with single-part copies forwarded to their uses."""
+    """Return a new kernel with single-part copies forwarded to their uses.
+
+    A statement none of whose operands changes is kept as the same object.
+    """
     replacements: dict[str, object] = {}
     output_names = {output.name for output in kernel.outputs}
     new_body: list[Statement] = []
@@ -35,7 +38,9 @@ def propagate_copies(kernel: Kernel) -> Kernel:
         for group in statement.operands:
             parts = tuple(resolve(part) for part in group)
             new_operands.append(Group(parts) if parts != group.parts else group)
-        statement = Statement(statement.op, statement.dests, tuple(new_operands), dict(statement.attrs))
+        operands = tuple(new_operands)
+        if operands != statement.operands:
+            statement = Statement(statement.op, statement.dests, operands, dict(statement.attrs))
 
         if (
             statement.op is OpKind.MOV
@@ -51,12 +56,10 @@ def propagate_copies(kernel: Kernel) -> Kernel:
                 replacements[dest.name] = source
         new_body.append(statement)
 
-    propagated = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
         body=new_body,
         metadata=dict(kernel.metadata),
     )
-    propagated.validate()
-    return propagated

@@ -94,12 +94,10 @@ def eliminate_common_subexpressions(kernel: Kernel) -> Kernel:
             else:
                 merged[dest.name] = source
 
-    deduplicated = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
         body=new_body,
         metadata=dict(kernel.metadata),
     )
-    deduplicated.validate()
-    return deduplicated

@@ -30,12 +30,10 @@ def eliminate_dead_code(kernel: Kernel) -> Kernel:
                 live.add(used.name)
 
     new_body = [statement for statement, keep in zip(kernel.body, keep_flags) if keep]
-    pruned = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
         body=new_body,
         metadata=dict(kernel.metadata),
     )
-    pruned.validate()
-    return pruned

@@ -10,14 +10,19 @@ pass can expose work for the others: a constant that simplify leaves in a
 forwards it.  Constant folding, copy propagation and CSE each forward what
 they rewrite to later statements within their own walk, so most kernels
 reach the fixed point in their first round and the second only confirms it.
+
+The passes themselves do not validate: a pass keeps every statement it does
+not rewrite as the same object, so a round that changes nothing hands back
+the statements it was given, and :func:`optimize` and :func:`run_pipeline`
+check SSA form once, on the kernel they return.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from collections.abc import Callable, Sequence
 
-from repro.core.ir.fingerprint import body_signature
 from repro.core.ir.kernel import Kernel
 from repro.core.passes.constant_fold import fold_constants
 from repro.core.passes.copy_propagation import propagate_copies
@@ -48,9 +53,10 @@ DEFAULT_MAX_ROUNDS = 8
 
 
 def run_pipeline(kernel: Kernel, passes: Sequence[Pass]) -> Kernel:
-    """Run an explicit sequence of passes once, in order."""
+    """Run an explicit sequence of passes once, in order, and validate the result."""
     for optimization in passes:
         kernel = optimization(kernel)
+    kernel.validate()
     return kernel
 
 
@@ -68,13 +74,17 @@ def optimize(
     at 64-1,024 bits, both word widths and both multiplications, 138 of 170
     kernels take at most two rounds, and Karatsuba kernels at pruned
     widths (320 and 640 bits) take the most, up to six.  The fixed point is
-    detected with :func:`body_signature` — a structural hash, much cheaper
-    than re-stringifying every statement each round.  ``observer`` (used by
-    the driver's :class:`~repro.core.driver.session.CompilerSession` for
-    pipeline instrumentation) receives per-pass timing and statement counts.
+    a round that returns the statement objects it was given, in the same
+    order: one pointer comparison per statement.  The default passes keep
+    the statements they do not rewrite, so this stops on the same round as
+    a structural comparison of the bodies would; a pass that rebuilds
+    unchanged statements runs every round.  The result is validated once.
+    ``observer`` (used by the driver's
+    :class:`~repro.core.driver.session.CompilerSession` for pipeline
+    instrumentation) receives per-pass timing and statement counts.
     """
-    previous_signature = body_signature(kernel)
     for round_index in range(max_rounds):
+        given = tuple(kernel.body)
         for optimization in pipeline:
             statements_before = len(kernel.body)
             started = time.perf_counter()
@@ -87,8 +97,7 @@ def optimize(
                     statements_before,
                     len(kernel.body),
                 )
-        signature = body_signature(kernel)
-        if signature == previous_signature:
+        if len(kernel.body) == len(given) and all(map(operator.is_, kernel.body, given)):
             break
-        previous_signature = signature
+    kernel.validate()
     return kernel

@@ -33,15 +33,13 @@ def simplify(kernel: Kernel) -> Kernel:
     new_body = []
     for statement in kernel.body:
         new_body.append(_simplify_statement(statement))
-    simplified = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
         body=new_body,
         metadata=dict(kernel.metadata),
     )
-    simplified.validate()
-    return simplified
 
 
 def _simplify_statement(statement: Statement) -> Statement:

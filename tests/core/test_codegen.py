@@ -1,16 +1,20 @@
 """Tests for the CUDA, C99 and Python code generators."""
 
+import hashlib
+
 import pytest
 
 from repro.core.codegen.c99 import generate_c99
 from repro.core.codegen.common import CTypes
 from repro.core.codegen.cuda import generate_cuda
 from repro.core.codegen.python_exec import compile_kernel, generate_python_source
+from repro.core.driver import CompilerSession
 from repro.core.ir.builder import KernelBuilder
 from repro.core.ir.interp import interpret
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
 from repro.errors import CodegenError
+from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
 
 
 def butterfly_kernel(bits=256, modulus_bits=252):
@@ -161,3 +165,58 @@ class TestPythonBackend:
         packed = compiled.pack_inputs({"x": 1, "y": 2, "w": 3, "q": q, "mu": mu})
         raw = compiled.call_limbs(*packed)
         assert compiled.unpack_outputs(raw)["x_out"] == 7
+
+
+# -- pinned emission -------------------------------------------------------------
+
+#: Per configuration and target, the SHA-256 of the sources of ``vadd``,
+#: ``vsub``, ``vmul``, ``axpy`` and the Cooley-Tukey and Gentleman-Sande
+#: butterflies, concatenated in that order.  Emission is deterministic
+#: across interpreters (the same digests on CPython 3.10-3.13), so a change
+#: here is a change to the generated code, whatever the compiler's speed.
+PINNED_SOURCES = {
+    "128": (
+        KernelConfig(bits=128),
+        {
+            "python_exec": "f776c5d06a47e52d0d5698a60e393bb61cc4e88241e969c36580a74c50d2bee1",
+            "cuda": "7d301e6d65cd455b210045905ca6cd81b953f454e4b8141a5a264cb104522c96",
+        },
+    ),
+    "384": (
+        KernelConfig(bits=384),
+        {
+            "python_exec": "f79afc1cbc89b9f537d3257ca449d1ca4b9884287a419d5fd06c399a08c86984",
+            "cuda": "2ec7c95e4ed64bc35c1b3bdd61bc69fd6ebf33149174fd825cf33d1b95ce7eb8",
+        },
+    ),
+    "256-w32": (
+        KernelConfig(bits=256, word_bits=32),
+        {
+            "python_exec": "22ebc0a9aaffc94e7752eb04bf0b9d455d3872a7b92a85e378bae99a1004a976",
+            "cuda": "cb640208b388a37082090aaa5e189906c832289ed8930958c638b9c4215616dc",
+        },
+    ),
+    "256-karatsuba": (
+        KernelConfig(bits=256, multiplication="karatsuba"),
+        {
+            "python_exec": "e617d88b24f59e167ef9327bb1c3ef38279fd76a800c45b8e6029a28a9ca60b8",
+            "cuda": "853c771db2956fbfb9d01731fae75c7d4a1cc7ffce8dc852120d0b3f58b77bc3",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("label", PINNED_SOURCES)
+def test_emitted_sources_are_pinned(label):
+    config, pinned = PINNED_SOURCES[label]
+    kernels = [build_blas_kernel(operation, config) for operation in ("vadd", "vsub", "vmul", "axpy")]
+    kernels += [build_butterfly_kernel(config, variant) for variant in ("cooley_tukey", "gentleman_sande")]
+    session = CompilerSession()
+    digests = {}
+    for target in pinned:
+        digest = hashlib.sha256()
+        for kernel in kernels:
+            artifact = session.compile(kernel, target=target, options=config.rewrite_options())
+            digest.update((artifact if isinstance(artifact, str) else artifact.source).encode())
+        digests[target] = digest.hexdigest()
+    assert digests == pinned

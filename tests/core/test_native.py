@@ -583,6 +583,8 @@ def test_no_compiler_falls_back_to_python_exec_without_a_process(session):
 def test_no_headers_fall_back_to_python_exec_without_a_process(session, tmp_path, monkeypatch):
     config = KernelConfig(bits=128)
     kernel = compile_blas_kernel("vadd", config, session=session).kernel
+    # The include directory is read once per process; read it afresh here.
+    monkeypatch.setattr(native, "_python_headers", native._python_headers.__wrapped__)
     get_path = sysconfig.get_path
     monkeypatch.setattr(
         sysconfig,

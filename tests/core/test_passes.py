@@ -5,22 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen.python_exec import compile_kernel
 from repro.core.ir.builder import KernelBuilder
-from repro.core.ir.ops import OpKind
+from repro.core.ir.kernel import Kernel
+from repro.core.ir.ops import OpKind, Statement
 from repro.core.ir.values import Const, Group, Var
 from repro.core.ir.types import IntType, u64
-from repro.core.ir.fingerprint import body_signature
+from repro.core.ir.fingerprint import body_signature, kernel_signature
 from repro.core.ir.interp import interpret
 from repro.core.passes import (
     DEFAULT_MAX_ROUNDS,
+    DEFAULT_PIPELINE,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
     optimize,
     propagate_copies,
+    run_pipeline,
     simplify,
 )
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
+from repro.errors import IRError
 from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
 
 
@@ -31,11 +35,70 @@ def op_histogram(kernel):
     return counts
 
 
-def optimize_counting_rounds(kernel):
+def optimize_counting_rounds(kernel, pipeline=DEFAULT_PIPELINE):
     """``optimize(kernel)`` and the number of rounds it ran."""
     rounds = set()
-    optimized = optimize(kernel, observer=lambda name, round_index, *_: rounds.add(round_index))
+    optimized = optimize(
+        kernel, pipeline=pipeline, observer=lambda name, round_index, *_: rounds.add(round_index)
+    )
     return optimized, len(rounds)
+
+
+def optimize_structurally(kernel):
+    """The reference for ``optimize``'s fixed point: the default pipeline
+    iterated until :func:`body_signature` repeats, and the rounds it ran."""
+    previous = body_signature(kernel)
+    for round_index in range(DEFAULT_MAX_ROUNDS):
+        kernel = run_pipeline(kernel, DEFAULT_PIPELINE)
+        signature = body_signature(kernel)
+        if signature == previous:
+            break
+        previous = signature
+    return kernel, round_index + 1
+
+
+def read_undefined(kernel):
+    """A broken pass: prepends a copy of a variable nothing defines."""
+    dangling = Statement(OpKind.MOV, Group((Var("dangling", u64),)), (Group((Var("ghost", u64),)),))
+    return Kernel(
+        name=kernel.name,
+        params=list(kernel.params),
+        outputs=list(kernel.outputs),
+        body=[dangling, *kernel.body],
+        metadata=dict(kernel.metadata),
+    )
+
+
+def fold_rebuilding_movs(kernel):
+    """``fold_constants`` without its ``mov`` guard: each output's ``mov`` of
+    a constant comes back as a new, equal statement."""
+    folded = fold_constants(kernel)
+    body = [
+        Statement(s.op, s.dests, s.operands, dict(s.attrs))
+        if s.op is OpKind.MOV and isinstance(s.operands[0].parts[0], Const)
+        else s
+        for s in folded.body
+    ]
+    return Kernel(
+        name=folded.name,
+        params=folded.params,
+        outputs=folded.outputs,
+        body=body,
+        metadata=folded.metadata,
+    )
+
+
+@pytest.fixture(scope="module", params=["ct-384", "vmul-320-w32-karatsuba"])
+def optimized_kernel(request):
+    """An optimized kernel: the 384-bit butterfly (limb pruning) and a
+    Karatsuba ``vmul`` that takes five rounds to converge."""
+    if request.param == "ct-384":
+        config = KernelConfig(bits=384)
+        wide = build_butterfly_kernel(config)
+    else:
+        config = KernelConfig(bits=320, word_bits=32, multiplication="karatsuba")
+        wide = build_blas_kernel("vmul", config)
+    return optimize(legalize(wide, config.rewrite_options()))
 
 
 class TestConstantFolding:
@@ -279,6 +342,52 @@ class TestOptimizePipeline:
         twice = optimize(once)
         assert [str(s) for s in once.body] == [str(s) for s in twice.body]
 
+    @pytest.mark.parametrize("optimization", DEFAULT_PIPELINE, ids=lambda p: p.__name__)
+    def test_passes_keep_the_statements_of_an_optimized_kernel(self, optimized_kernel, optimization):
+        body = optimization(optimized_kernel).body
+        assert len(body) == len(optimized_kernel.body)
+        assert all(mine is theirs for mine, theirs in zip(body, optimized_kernel.body))
+
+    def test_constant_output_converges_in_two_rounds(self):
+        builder = KernelBuilder("constant_output")
+        x = builder.param("x", 256)
+        five = builder.constant(5, 256)
+        builder.output("z", builder.add(five, builder.constant(7, 256), result_bits=256))
+        builder.output("w", builder.add(x, five, result_bits=256))
+        kernel = builder.build()
+        optimized, rounds = optimize_counting_rounds(kernel)
+        assert rounds == 2
+        assert interpret(optimized, {"x": 9}) == {"z": 12, "w": 14}
+        # Without keeping the output's mov, every round differs from the
+        # last by one new, equal statement, and the limit stops the loop.
+        pipeline = (fold_rebuilding_movs, *DEFAULT_PIPELINE[1:])
+        rebuilt, rounds = optimize_counting_rounds(kernel, pipeline)
+        assert rounds == DEFAULT_MAX_ROUNDS
+        assert kernel_signature(rebuilt) == kernel_signature(optimized)
+
+    def test_optimize_validates_once(self, monkeypatch):
+        config = KernelConfig(bits=256)
+        legalized = legalize(build_butterfly_kernel(config), config.rewrite_options())
+        validated = []
+        validate = Kernel.validate
+
+        def counting(kernel):
+            validated.append(kernel)
+            validate(kernel)
+
+        monkeypatch.setattr(Kernel, "validate", counting)
+        optimized, rounds = optimize_counting_rounds(legalized)
+        assert rounds == 2
+        assert len(validated) == 1 and validated[0] is optimized
+
+    def test_a_pass_breaking_ssa_still_raises(self):
+        config = KernelConfig(bits=128)
+        legalized = legalize(build_blas_kernel("vadd", config), config.rewrite_options())
+        with pytest.raises(IRError, match="undefined variable 'ghost'"):
+            optimize(legalized, pipeline=(*DEFAULT_PIPELINE, read_undefined))
+        with pytest.raises(IRError, match="undefined variable 'ghost'"):
+            run_pipeline(legalized, (read_undefined,))
+
 
 def _sweep_kernels():
     """Every width x word x multiplication x kernel family (170 kernels)."""
@@ -310,3 +419,7 @@ def test_every_kernel_reaches_its_fixed_point(config, build):
     optimized, rounds = optimize_counting_rounds(legalized)
     assert rounds < DEFAULT_MAX_ROUNDS
     assert body_signature(optimize(optimized)) == body_signature(optimized)
+    # The identity fixed point stops on the round the structural one does.
+    reference, reference_rounds = optimize_structurally(legalized)
+    assert rounds == reference_rounds
+    assert kernel_signature(optimized) == kernel_signature(reference)
