@@ -186,7 +186,7 @@ def run_figure5b_served(
                 "modeled speedups: " + ", ".join(speedups),
                 f"warm sweep: {len(requests)} requests, {compilations} compilations, "
                 f"{db_lookups} tuning-db lookups, "
-                f"warm p50 {snapshot.warm_p50_latency_ms:.3f} ms",
+                f"warm p50 ≤{snapshot.warm_p50_latency_ms:.3f} ms",
             ],
         )
     finally:

@@ -26,6 +26,7 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.serve.metrics import nearest_rank
 from repro.tenancy import DEFAULT_TENANT
 from repro.loadgen.replay import ReplayResult
 
@@ -40,11 +41,14 @@ __all__ = [
 
 
 def _percentile(sorted_values, q: float) -> float:
-    """Exact nearest-rank percentile of pre-sorted values (0 when empty)."""
+    """Exact nearest-rank percentile of pre-sorted values (0 when empty).
+
+    The rank rule is the serving tier's (:func:`~repro.serve.metrics.nearest_rank`),
+    so a client-observed p50 and a server's histogram p50 count the same sample.
+    """
     if not sorted_values:
         return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
-    return sorted_values[rank]
+    return sorted_values[nearest_rank(len(sorted_values), q) - 1]
 
 
 @dataclass(frozen=True)

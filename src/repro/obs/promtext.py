@@ -8,10 +8,13 @@ scrapers parse (``text/plain; version=0.0.4``): ``# HELP`` / ``# TYPE``
 comment pairs followed by sample lines, histograms as cumulative
 ``_bucket{le="..."}`` series ending in ``+Inf`` plus a ``_count``.
 
-To keep :mod:`repro.obs` import-free of the serve layer, the functions
-here take plain objects (attribute access only) and the histogram bucket
-bounds as an argument — the serve CLI passes its own
-:data:`~repro.serve.metrics.HISTOGRAM_BUCKET_BOUNDS_MS`.
+A single server, a ``--listen`` shard and a supervisor all render the same
+body — counters, gauges, p50/p95 gauges and the warm/cold
+``repro_serve_latency_ms`` histograms, every count cumulative since start —
+and a cluster adds its per-shard and wire blocks.  To keep :mod:`repro.obs`
+import-free of the serve layer, the functions here take plain objects
+(attribute access only) that carry their histograms' bucket bounds as
+``bucket_bounds_ms``.
 """
 
 from __future__ import annotations
@@ -95,11 +98,21 @@ _COUNTERS = (
 _GAUGES = (
     ("queue_depth", "queue_depth", "Requests submitted but not yet fulfilled."),
     ("resident_kernels", "resident_kernels", "Served results held resident."),
+    (
+        "p50_latency_ms",
+        "latency_p50_ms",
+        "Median serve latency since start: the bound of its histogram bucket.",
+    ),
+    (
+        "p95_latency_ms",
+        "latency_p95_ms",
+        "95th-percentile serve latency since start: the bound of its histogram bucket.",
+    ),
 )
 
 #: Per-tenant breakdown fields rendered with a ``tenant`` label.  The
 #: blocks are duck-typed dicts (a server's
-#: :meth:`~repro.serve.metrics.ServerMetrics.tenant_breakdown` or a
+#: :attr:`~repro.serve.metrics.MetricsSnapshot.tenants` or a
 #: supervisor's :attr:`~repro.serve.supervisor.ClusterStats.tenants`);
 #: a field absent from every block simply renders nothing.
 _TENANT_COUNTERS = (
@@ -165,90 +178,55 @@ _WIRE_COUNTERS = (
 )
 
 
-def render_server_metrics(snapshot, prefix: str = "repro") -> str:
-    """A single server's :class:`MetricsSnapshot` as a text exposition."""
+def _render(metrics, prefix: str, extra_blocks=()) -> str:
+    """The one exposition body: counters, gauges, percentile gauges, the
+    warm/cold latency histograms, ``extra_blocks``, then the tenants."""
     blocks = [
-        render_counter(f"{prefix}_{metric}", getattr(snapshot, attr), help_text)
+        render_counter(f"{prefix}_{metric}", getattr(metrics, attr), help_text)
         for attr, metric, help_text in _COUNTERS
     ]
     blocks.extend(
-        render_gauge(f"{prefix}_{metric}", getattr(snapshot, attr), help_text)
+        render_gauge(f"{prefix}_{metric}", getattr(metrics, attr), help_text)
         for attr, metric, help_text in _GAUGES
     )
-    blocks.append(
-        render_gauge(
-            f"{prefix}_latency_p50_ms",
-            float(snapshot.p50_latency_ms),
-            "Median serve latency over the retained window.",
-        )
-    )
-    blocks.append(
-        render_gauge(
-            f"{prefix}_latency_p95_ms",
-            float(snapshot.p95_latency_ms),
-            "95th-percentile serve latency over the retained window.",
-        )
-    )
-    tenants = getattr(snapshot, "tenants", None)
-    if tenants:
-        blocks.extend(_render_tenant_metrics(tenants, prefix))
-    return "\n".join(blocks) + "\n"
-
-
-def render_cluster_metrics(stats, bucket_bounds_ms, prefix: str = "repro") -> str:
-    """A :class:`ClusterStats` (counters + merged histograms + wire profile).
-
-    Cluster-wide counters come labelless; the per-shard breakdown rides a
-    ``shard`` label; the warm/cold latency histograms are summed across
-    shards (the supervisor's own merge) and rendered per class.
-    """
-    blocks = [
-        render_counter(f"{prefix}_{metric}", getattr(stats, attr), help_text)
-        for attr, metric, help_text in _COUNTERS
-    ]
-    blocks.extend(
-        render_gauge(f"{prefix}_{metric}", getattr(stats, attr), help_text)
-        for attr, metric, help_text in _GAUGES
-    )
-    blocks.append(
-        render_gauge(f"{prefix}_shards", len(stats.shards), "Live shards reporting.")
-    )
-    shard_lines = _header(
-        f"{prefix}_shard_requests_total", "counter", "Requests served per shard."
-    )
-    for shard in stats.shards:
-        shard_lines.append(
-            _sample(
-                f"{prefix}_shard_requests_total",
-                shard.requests,
-                {"shard": shard.shard_id},
-            )
-        )
-    blocks.append("\n".join(shard_lines))
     for label, attribute in (("warm", "warm_histogram"), ("cold", "cold_histogram")):
-        merged = [0] * (len(bucket_bounds_ms) + 1)
-        for shard in stats.shards:
-            for index, count in enumerate(getattr(shard, attribute)):
-                if index < len(merged):
-                    merged[index] += count
-                else:
-                    merged[-1] += count
         blocks.append(
             render_histogram(
                 f"{prefix}_serve_latency_ms",
-                tuple(merged),
-                tuple(bucket_bounds_ms),
-                "Serve latency by class, merged across shards (ms buckets).",
+                getattr(metrics, attribute),
+                metrics.bucket_bounds_ms,
+                "Serve latency by class since start (ms buckets).",
                 labels={"class": label},
             )
         )
-    wire = getattr(stats, "wire", None)
-    if wire is not None:
-        blocks.extend(
-            render_counter(f"{prefix}_{metric}", getattr(wire, attr), help_text)
+    blocks.extend(extra_blocks)
+    if metrics.tenants:
+        blocks.extend(_render_tenant_metrics(metrics.tenants, prefix))
+    return "\n".join(blocks) + "\n"
+
+
+def render_server_metrics(snapshot, prefix: str = "repro") -> str:
+    """A single server's :class:`MetricsSnapshot` as a text exposition."""
+    return _render(snapshot, prefix)
+
+
+def render_cluster_metrics(stats, prefix: str = "repro") -> str:
+    """A :class:`ClusterStats`: the server body over the merged counts and
+    histograms, plus a ``shard``-labelled breakdown and the wire profile."""
+    shard_lines = _header(
+        f"{prefix}_shard_requests_total", "counter", "Requests served per shard."
+    )
+    shard_lines.extend(
+        _sample(f"{prefix}_shard_requests_total", shard.requests, {"shard": shard.shard_id})
+        for shard in stats.shards
+    )
+    extra = [
+        render_gauge(f"{prefix}_shards", len(stats.shards), "Live shards reporting."),
+        "\n".join(shard_lines),
+    ]
+    if stats.wire is not None:
+        extra.extend(
+            render_counter(f"{prefix}_{metric}", getattr(stats.wire, attr), help_text)
             for attr, metric, help_text in _WIRE_COUNTERS
         )
-    tenants = getattr(stats, "tenants", None)
-    if tenants:
-        blocks.extend(_render_tenant_metrics(tenants, prefix))
-    return "\n".join(blocks) + "\n"
+    return _render(stats, prefix, extra)

@@ -55,7 +55,6 @@ from repro.tenancy import DEFAULT_TENANT
 from repro.tune.db import TuningDatabase
 from repro.tune.space import BLAS, NTT
 from repro.serve import protocol
-from repro.serve.metrics import HISTOGRAM_BUCKET_BOUNDS_MS
 from repro.serve.server import KernelServer, ServeRequest
 from repro.serve.shard import serve_shard_tcp
 from repro.serve.supervisor import ShardSupervisor
@@ -449,9 +448,7 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
     try:
         endpoint = _start_metrics(
             args,
-            lambda: render_cluster_metrics(
-                supervisor.stats(), HISTOGRAM_BUCKET_BOUNDS_MS
-            ),
+            lambda: render_cluster_metrics(supervisor.stats()),
             supervisor.tracer.snapshot,
         )
         tenant = args.tenant if args.tenant is not None else DEFAULT_TENANT

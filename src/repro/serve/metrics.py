@@ -1,4 +1,4 @@
-"""Serving observability: request counters and latency percentiles.
+"""Serving observability: request counters and fixed-bucket latency histograms.
 
 A :class:`ServerMetrics` lives inside every :class:`~repro.serve.KernelServer`
 and classifies each request into exactly one of four outcomes:
@@ -10,18 +10,24 @@ and classifies each request into exactly one of four outcomes:
 * **cold** — went through the full path (tuning lookup/search + compilation);
 * **error** — the request raised.
 
-Latencies are recorded for warm and cold serves (dedup'd requests resolve
-with their leader); :meth:`snapshot` folds everything into an immutable
-:class:`MetricsSnapshot` with p50/p95 latency, suitable for logging or the
-``--stats`` CLI flag.
+Each warm or cold serve adds one to a bucket of the fixed log-2 latency
+histogram (:data:`HISTOGRAM_BUCKET_BOUNDS_MS`), in the totals and in its
+tenant's slice (dedup'd requests resolve with their leader).  Every count is
+cumulative since the server started, so a histogram's sum equals its class
+counter, and counts from different servers, shards or tenants add field by
+field (:func:`merge_counts`).  :meth:`ServerMetrics.snapshot` folds them into
+an immutable :class:`MetricsSnapshot` whose p50/p95 are read off the
+histograms (:func:`percentile_from_histogram`); that one snapshot backs
+``--stats``, ``/metrics`` and a shard's stats reply.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from repro.tenancy import DEFAULT_TENANT
 
@@ -31,71 +37,96 @@ __all__ = [
     "WireProfile",
     "WireSnapshot",
     "HISTOGRAM_BUCKET_BOUNDS_MS",
+    "add_histograms",
     "latency_histogram",
+    "merge_counts",
+    "nearest_rank",
     "percentile_from_histogram",
 ]
 
-#: Latency samples retained per class (oldest dropped first); bounds memory
-#: on a long-running server while keeping the percentiles current.
-LATENCY_WINDOW = 4096
-
-#: Upper bucket bounds (milliseconds) of the fixed latency histogram the
-#: wire protocol ships between shards: log-2 spaced from 1 µs to ~17 s, with
-#: one implicit overflow bucket at the end.  The bounds being *fixed* is what
-#: makes per-shard histograms directly summable at the supervisor.
+#: Upper bucket bounds (milliseconds) of the fixed latency histogram: log-2
+#: spaced from 1 µs to ~17 s, with one implicit overflow bucket at the end.
+#: The bounds being *fixed* is what makes histograms from different servers
+#: directly summable.
 HISTOGRAM_BUCKET_BOUNDS_MS = tuple(0.001 * (1 << i) for i in range(25))
 
 
-def _percentile(samples: tuple[float, ...], q: float) -> float:
-    """The ``q``-quantile (0 < q <= 1) by the nearest-rank method, or 0.0."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+def _bucket(latency_s: float) -> int:
+    """The histogram bucket of one latency: the first bound at or above it."""
+    return bisect_left(HISTOGRAM_BUCKET_BOUNDS_MS, latency_s * 1e3)
 
 
-def latency_histogram(samples_s: tuple[float, ...]) -> tuple[int, ...]:
+def latency_histogram(samples_s) -> tuple[int, ...]:
     """Bucket latency samples (seconds) into the fixed histogram.
 
     Returns one count per bound in :data:`HISTOGRAM_BUCKET_BOUNDS_MS` plus a
-    final overflow bucket.  Histograms from different servers can be merged
-    by element-wise addition, which is how the shard supervisor computes
-    global percentiles without shipping raw samples.
+    final overflow bucket: the buckets :class:`ServerMetrics` counts into.
     """
     counts = [0] * (len(HISTOGRAM_BUCKET_BOUNDS_MS) + 1)
     for sample in samples_s:
-        ms = sample * 1e3
-        for index, bound in enumerate(HISTOGRAM_BUCKET_BOUNDS_MS):
-            if ms <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
+        counts[_bucket(sample)] += 1
     return tuple(counts)
 
 
-def percentile_from_histogram(counts: tuple[int, ...], q: float) -> float:
-    """Approximate the ``q``-quantile (ms) of a bucketed latency histogram.
+def add_histograms(*histograms) -> tuple[int, ...]:
+    """The bucket-by-bucket sum of histograms (shorter ones count as zeros)."""
+    total = [0] * max(map(len, histograms), default=0)
+    for counts in histograms:
+        for index, count in enumerate(counts):
+            total[index] += count
+    return tuple(total)
 
-    ``q`` is a fraction in ``[0.0, 1.0]`` — passing a percent (``q=95``)
-    raises ``ValueError`` instead of silently reporting the maximum bucket.
-    ``q=0.0`` reports the first occupied bucket's bound (the minimum, up to
-    bucket resolution) and ``q=1.0`` the last occupied one; an empty (or
-    all-zero) histogram reports 0.0.  Counts beyond the known bounds —
-    including the overflow bucket — report the largest *finite* bound, so
-    the result never indexes past :data:`HISTOGRAM_BUCKET_BOUNDS_MS`.
 
-    Returns the upper bound of the bucket holding the nearest-rank sample.
-    The approximation error is bounded by the log-2 bucket spacing, which
-    is plenty for the p50/p95 the stats report shows.
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def merge_counts(blocks) -> dict:
+    """Merge blocks of counts: integers add, histograms add bucket by bucket.
+
+    The one merge behind every aggregate — shard stats into cluster totals,
+    and one tenant's blocks from every shard into its rollup.  Each block is
+    a mapping; a value that is neither an integer nor a list of integers is
+    left out, so a malformed block from a peer degrades instead of failing
+    the stats path.
+    """
+    merged: dict = {}
+    for block in blocks:
+        for name, value in block.items():
+            if _is_count(value):
+                merged[name] = merged.get(name, 0) + value
+            elif isinstance(value, (list, tuple)) and all(map(_is_count, value)):
+                merged[name] = add_histograms(merged.get(name, ()), value)
+    return merged
+
+
+def nearest_rank(count: int, q: float) -> int:
+    """The 1-based nearest rank of the ``q``-quantile among ``count`` values.
+
+    ``ceil(q * count)``, at least 1.  ``q`` is a fraction in ``[0.0, 1.0]``
+    — passing a percent (``q=95``) raises ``ValueError`` instead of silently
+    reporting the maximum.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be a fraction in [0, 1], got {q!r}")
+    return max(1, math.ceil(q * count))
+
+
+def percentile_from_histogram(counts, q: float) -> float:
+    """Approximate the ``q``-quantile (ms) of a bucketed latency histogram.
+
+    Returns the upper bound of the bucket holding the :func:`nearest_rank`
+    sample, so the answer is at least the exact quantile and within one
+    log-2 bucket of it.  ``q=0.0`` reports the first occupied bucket's bound
+    and ``q=1.0`` the last occupied one; an empty (or all-zero) histogram
+    reports 0.0.  Counts beyond the known bounds — including the overflow
+    bucket — report the largest *finite* bound, so the result never indexes
+    past :data:`HISTOGRAM_BUCKET_BOUNDS_MS`.
+    """
     total = sum(counts)
+    rank = nearest_rank(total, q)
     if not total:
         return 0.0
-    rank = max(1, math.ceil(q * total))
     seen = 0
     for index, count in enumerate(counts):
         seen += count
@@ -109,7 +140,9 @@ def percentile_from_histogram(counts: tuple[int, ...], q: float) -> float:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """One immutable view of a server's counters.
+    """One immutable view of a server's counters and latency histograms.
+
+    Every count is cumulative since the server started.
 
     Attributes:
         requests: every request received (sum of the four outcome classes).
@@ -121,14 +154,18 @@ class MetricsSnapshot:
         batched_tunes: tuning requests processed inside those batches.
         queue_depth: in-flight (submitted, unfinished) requests right now.
         resident_kernels: fully-served results held in the resident table.
-        p50_latency_ms: median serve latency (warm + cold samples).
-        p95_latency_ms: 95th-percentile serve latency.
-        warm_p50_latency_ms: median latency of warm serves alone.
-        cold_p50_latency_ms: median latency of cold serves alone.
-        tenants: per-tenant outcome breakdown (see
-            :meth:`ServerMetrics.tenant_breakdown`); empty when only the
-            default tenant has been seen, so untenanted deployments are
-            byte-identical to pre-tenancy snapshots on the wire.
+        warm_histogram: warm serve latencies, one count per bucket of
+            :data:`HISTOGRAM_BUCKET_BOUNDS_MS` plus overflow; sums to
+            ``warm_serves``.
+        cold_histogram: the same for cold serves; sums to ``cold_serves``.
+        tenants: per-tenant blocks (``requests``, ``warm_serves``,
+            ``cold_serves``, ``dedup_hits``, ``errors`` and both
+            histograms); empty when only the default tenant has been seen,
+            so untenanted deployments are byte-identical to pre-tenancy
+            snapshots on the wire.
+
+    The percentiles are properties read off the histograms: each is the
+    upper bound of the bucket holding the nearest-rank sample.
     """
 
     requests: int
@@ -140,11 +177,44 @@ class MetricsSnapshot:
     batched_tunes: int
     queue_depth: int
     resident_kernels: int
-    p50_latency_ms: float
-    p95_latency_ms: float
-    warm_p50_latency_ms: float
-    cold_p50_latency_ms: float
+    warm_histogram: tuple[int, ...]
+    cold_histogram: tuple[int, ...]
     tenants: dict = field(default_factory=dict)
+
+    #: The histograms' bucket bounds, for renderers that take plain objects.
+    bucket_bounds_ms: ClassVar[tuple[float, ...]] = HISTOGRAM_BUCKET_BOUNDS_MS
+
+    def counts(self) -> dict:
+        """The counter and histogram fields: what :func:`merge_counts` adds."""
+        return {
+            one.name: getattr(self, one.name)
+            for one in fields(MetricsSnapshot)
+            if one.name != "tenants"
+        }
+
+    @property
+    def p50_latency_ms(self) -> float:
+        """Median serve latency, warm and cold serves together."""
+        return percentile_from_histogram(
+            add_histograms(self.warm_histogram, self.cold_histogram), 0.50
+        )
+
+    @property
+    def p95_latency_ms(self) -> float:
+        """95th-percentile serve latency, warm and cold serves together."""
+        return percentile_from_histogram(
+            add_histograms(self.warm_histogram, self.cold_histogram), 0.95
+        )
+
+    @property
+    def warm_p50_latency_ms(self) -> float:
+        """Median latency of warm serves alone."""
+        return percentile_from_histogram(self.warm_histogram, 0.50)
+
+    @property
+    def cold_p50_latency_ms(self) -> float:
+        """Median latency of cold serves alone."""
+        return percentile_from_histogram(self.cold_histogram, 0.50)
 
     @property
     def warm_rate(self) -> float:
@@ -152,21 +222,28 @@ class MetricsSnapshot:
         served = self.warm_serves + self.cold_serves
         return self.warm_serves / served if served else 0.0
 
+    def _headline(self) -> str:
+        return f"requests      {self.requests}"
+
+    def _details(self) -> list[str]:
+        return []
+
     def report(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
         return "\n".join(
             [
-                f"requests      {self.requests} "
+                f"{self._headline()} "
                 f"(warm {self.warm_serves}, cold {self.cold_serves}, "
                 f"dedup {self.dedup_hits}, errors {self.errors})",
                 f"warm rate     {self.warm_rate * 100:.1f}%",
                 f"tuning        {self.batched_tunes} tunes in {self.tune_batches} batches",
                 f"queue depth   {self.queue_depth} in flight, "
                 f"{self.resident_kernels} resident kernels",
-                f"latency       p50 {self.p50_latency_ms:.3f} ms, "
-                f"p95 {self.p95_latency_ms:.3f} ms "
-                f"(warm p50 {self.warm_p50_latency_ms:.3f} ms, "
-                f"cold p50 {self.cold_p50_latency_ms:.3f} ms)",
+                f"latency       p50 ≤{self.p50_latency_ms:.3f} ms, "
+                f"p95 ≤{self.p95_latency_ms:.3f} ms "
+                f"(warm p50 ≤{self.warm_p50_latency_ms:.3f} ms, "
+                f"cold p50 ≤{self.cold_p50_latency_ms:.3f} ms)",
+                *self._details(),
             ]
         )
 
@@ -298,103 +375,74 @@ class WireProfile:
             )
 
 
-class _TenantCounters:
-    """One tenant's slice of the outcome counters (guarded by the owner)."""
+def _new_counts() -> dict:
+    """A zeroed slice of the outcome counters: the totals, or one tenant's."""
+    buckets = len(HISTOGRAM_BUCKET_BOUNDS_MS) + 1
+    return {
+        "requests": 0,
+        "warm_serves": 0,
+        "cold_serves": 0,
+        "dedup_hits": 0,
+        "errors": 0,
+        "warm_histogram": [0] * buckets,
+        "cold_histogram": [0] * buckets,
+    }
 
-    __slots__ = (
-        "requests",
-        "warm",
-        "cold",
-        "dedup",
-        "errors",
-        "warm_latencies",
-        "cold_latencies",
-    )
 
-    def __init__(self) -> None:
-        self.requests = 0
-        self.warm = 0
-        self.cold = 0
-        self.dedup = 0
-        self.errors = 0
-        self.warm_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self.cold_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-
-    def block(self) -> dict:
-        """The JSON-ready per-tenant stats block the wire protocol ships."""
-        return {
-            "requests": self.requests,
-            "warm_serves": self.warm,
-            "cold_serves": self.cold,
-            "dedup_hits": self.dedup,
-            "errors": self.errors,
-            "warm_histogram": list(latency_histogram(tuple(self.warm_latencies))),
-            "cold_histogram": list(latency_histogram(tuple(self.cold_latencies))),
-        }
+def _block(counts: dict, histogram=list) -> dict:
+    """A copy of a slice, its histograms copied into ``histogram``s."""
+    return {
+        name: histogram(value) if isinstance(value, list) else value
+        for name, value in counts.items()
+    }
 
 
 class ServerMetrics:
     """Thread-safe counters behind :meth:`KernelServer.metrics_snapshot`.
 
-    Every recording method takes the request's tenant; the totals count all
-    traffic as before, while per-tenant slices feed
-    :meth:`tenant_breakdown`.
+    Every recording method takes the request's tenant and counts into the
+    totals and into that tenant's slice; warm and cold serves also add one
+    to their latency bucket in both.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._requests = 0
-        self._warm = 0
-        self._cold = 0
-        self._dedup = 0
-        self._errors = 0
+        self._totals = _new_counts()
+        self._tenants: dict[str, dict] = {}
         self._tune_batches = 0
         self._batched_tunes = 0
-        self._warm_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._cold_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._tenants: dict[str, _TenantCounters] = {}
 
-    def _tenant(self, tenant: str) -> _TenantCounters:
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = _TenantCounters()
-        return counters
+    def _count(
+        self, tenant: str, counter: str, histogram: str | None = None, bucket: int = 0
+    ) -> None:
+        with self._lock:
+            tenant_counts = self._tenants.get(tenant)
+            if tenant_counts is None:
+                tenant_counts = self._tenants[tenant] = _new_counts()
+            for counts in (self._totals, tenant_counts):
+                counts[counter] += 1
+                if histogram is not None:
+                    counts[histogram][bucket] += 1
 
     def record_request(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one incoming request (before its outcome is known)."""
-        with self._lock:
-            self._requests += 1
-            self._tenant(tenant).requests += 1
+        self._count(tenant, "requests")
 
     def record_warm(self, latency_s: float, tenant: str = DEFAULT_TENANT) -> None:
-        """Count one resident-table serve."""
-        with self._lock:
-            self._warm += 1
-            self._warm_latencies.append(latency_s)
-            counters = self._tenant(tenant)
-            counters.warm += 1
-            counters.warm_latencies.append(latency_s)
+        """Count one resident-table serve in its latency bucket."""
+        self._count(tenant, "warm_serves", "warm_histogram", _bucket(latency_s))
 
     def record_cold(self, latency_s: float, tenant: str = DEFAULT_TENANT) -> None:
-        """Count one full-path (tune + compile) serve."""
-        with self._lock:
-            self._cold += 1
-            self._cold_latencies.append(latency_s)
-            counters = self._tenant(tenant)
-            counters.cold += 1
-            counters.cold_latencies.append(latency_s)
+        """Count one full-path (tune + compile) serve in its latency bucket."""
+        self._count(tenant, "cold_serves", "cold_histogram", _bucket(latency_s))
 
     def record_dedup(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one request attached to an in-flight identical request."""
-        with self._lock:
-            self._dedup += 1
-            self._tenant(tenant).dedup += 1
+        self._count(tenant, "dedup_hits")
 
     def record_error(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one failed request."""
-        with self._lock:
-            self._errors += 1
-            self._tenant(tenant).errors += 1
+        self._count(tenant, "errors")
 
     def record_tune_batch(self, size: int) -> None:
         """Count one executed tuning micro-batch of ``size`` requests."""
@@ -402,64 +450,29 @@ class ServerMetrics:
             self._tune_batches += 1
             self._batched_tunes += size
 
-    def latency_samples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The retained (warm, cold) latency samples in seconds.
-
-        The shard protocol buckets these into :func:`latency_histogram` so a
-        supervisor can merge percentiles across processes.
-        """
-        with self._lock:
-            return tuple(self._warm_latencies), tuple(self._cold_latencies)
-
-    def tenant_breakdown(self) -> dict[str, dict]:
-        """Per-tenant outcome counters, JSON-ready for the stats wire.
-
-        Keys are tenant ids; each block carries ``requests``,
-        ``warm_serves``, ``cold_serves``, ``dedup_hits``, ``errors`` and the
-        fixed-bucket ``warm_histogram``/``cold_histogram``.  Returns ``{}``
-        while only the default tenant has been seen: an untenanted server's
-        stats replies stay byte-identical to the pre-tenant wire, and the
-        breakdown (including the default slice) appears the moment a second
-        namespace shows up.
-        """
-        with self._lock:
-            if set(self._tenants) <= {DEFAULT_TENANT}:
-                return {}
-            return {
-                tenant: counters.block()
-                for tenant, counters in sorted(self._tenants.items())
-            }
-
     def snapshot(self, queue_depth: int = 0, resident_kernels: int = 0) -> MetricsSnapshot:
-        """Fold the counters into an immutable snapshot.
+        """Fold the counters into an immutable snapshot, under one lock.
 
         ``queue_depth`` and ``resident_kernels`` are gauges owned by the
         server (they are sizes of its tables), passed in at snapshot time.
+        The per-tenant blocks stay empty while only the default tenant has
+        been seen: an untenanted server's stats replies stay byte-identical
+        to the pre-tenant wire, and the breakdown (including the default
+        slice) appears the moment a second namespace shows up.
         """
         with self._lock:
-            warm = tuple(self._warm_latencies)
-            cold = tuple(self._cold_latencies)
-            combined = warm + cold
             return MetricsSnapshot(
-                requests=self._requests,
-                warm_serves=self._warm,
-                cold_serves=self._cold,
-                dedup_hits=self._dedup,
-                errors=self._errors,
+                **_block(self._totals, tuple),
                 tune_batches=self._tune_batches,
                 batched_tunes=self._batched_tunes,
                 queue_depth=queue_depth,
                 resident_kernels=resident_kernels,
-                p50_latency_ms=_percentile(combined, 0.50) * 1e3,
-                p95_latency_ms=_percentile(combined, 0.95) * 1e3,
-                warm_p50_latency_ms=_percentile(warm, 0.50) * 1e3,
-                cold_p50_latency_ms=_percentile(cold, 0.50) * 1e3,
                 tenants=(
                     {
-                        tenant: counters.block()
-                        for tenant, counters in sorted(self._tenants.items())
+                        tenant: _block(counts)
+                        for tenant, counts in sorted(self._tenants.items())
                     }
-                    if not set(self._tenants) <= {DEFAULT_TENANT}
+                    if set(self._tenants) - {DEFAULT_TENANT}
                     else {}
                 ),
             )

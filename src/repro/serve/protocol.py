@@ -28,9 +28,9 @@ Message types (each a frozen dataclass):
   name plus its message; :meth:`ErrorReply.exception` rebuilds a raisable
   error on the caller's side.
 * :class:`StatsCall` / :class:`StatsReply` — one shard's counters and
-  fixed-bucket latency histograms (:class:`ShardStats`); histograms are
-  element-wise summable, which is how the supervisor merges p50/p95 across
-  shards.
+  fixed-bucket latency histograms, cumulative since it started
+  (:class:`ShardStats`); histograms add bucket by bucket, which is how the
+  supervisor merges p50/p95 across shards.
 * :class:`PingCall` / :class:`PongReply` — liveness probe used by the
   supervisor's monitor.
 * :class:`HelloCall` / :class:`HelloReply` — the handshake every link opens
@@ -79,6 +79,7 @@ from repro.kernels.config import KernelConfig
 from repro.tenancy import DEFAULT_TENANT, validate_tenant
 from repro.tune.space import Candidate, Workload
 from repro.tune.tuner import TuningResult
+from repro.serve.metrics import MetricsSnapshot
 from repro.serve.server import ServeRequest, ServeResult
 
 __all__ = [
@@ -396,17 +397,18 @@ class StatsCall:
     drain_spans: bool = False
 
 
-@dataclass(frozen=True)
-class ShardStats:
-    """One shard's counters, in the supervisor-mergeable wire form.
+@dataclass(frozen=True, kw_only=True)
+class ShardStats(MetricsSnapshot):
+    """One shard's :class:`~repro.serve.metrics.MetricsSnapshot` plus its
+    identity: the stats wire form.
 
-    Counter fields mirror :class:`~repro.serve.metrics.MetricsSnapshot`;
-    latencies travel as fixed-bucket histograms
-    (:func:`~repro.serve.metrics.latency_histogram`) so global percentiles
-    can be computed by summing buckets across shards.
+    The counters and the two fixed-bucket latency histograms are cumulative
+    since the shard started, so a supervisor merges shards by adding them
+    (:func:`~repro.serve.metrics.merge_counts`) and reads global
+    percentiles off the summed histograms.
 
     ``tenants`` is the **additive** per-tenant breakdown: tenant id →
-    ``{"requests", "warm_serves", "cold_serves", "errors",
+    ``{"requests", "warm_serves", "cold_serves", "dedup_hits", "errors",
     "warm_histogram", "cold_histogram"}``.  Emitted only when non-empty
     and decoded tolerantly (a malformed or absent breakdown degrades to
     ``{}``), so pre-tenant peers interoperate and a newer peer's schema
@@ -415,18 +417,6 @@ class ShardStats:
 
     shard_id: int
     pid: int
-    requests: int
-    warm_serves: int
-    cold_serves: int
-    dedup_hits: int
-    errors: int
-    tune_batches: int
-    batched_tunes: int
-    queue_depth: int
-    resident_kernels: int
-    warm_histogram: tuple[int, ...]
-    cold_histogram: tuple[int, ...]
-    tenants: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -543,19 +533,12 @@ class ShutdownCall:
 
 
 def _stats_to_payload(message: StatsReply) -> dict:
-    payload = {
-        "request_id": message.request_id,
-        "stats": dataclasses.asdict(message.stats),
-    }
-    payload["stats"]["warm_histogram"] = list(message.stats.warm_histogram)
-    payload["stats"]["cold_histogram"] = list(message.stats.cold_histogram)
+    stats = dataclasses.asdict(message.stats)
     # Additive per-tenant breakdown: emitted only when non-empty, so the
     # untenanted stats reply stays byte-identical to the pre-tenant wire.
-    payload["stats"].pop("tenants", None)
-    if message.stats.tenants:
-        payload["stats"]["tenants"] = {
-            tenant: dict(block) for tenant, block in message.stats.tenants.items()
-        }
+    if not stats["tenants"]:
+        del stats["tenants"]
+    payload = {"request_id": message.request_id, "stats": stats}
     if message.spans:
         payload["spans"] = [dict(span) for span in message.spans]
     return payload

@@ -61,7 +61,6 @@ from repro.tune.db import TuningDatabase
 # Imported as a module (not a package attribute) so this file is loadable at
 # any point of repro.serve's own package initialization.
 import repro.serve.protocol as protocol
-from repro.serve.metrics import latency_histogram
 from repro.serve.server import KernelServer, ServeRequest
 
 __all__ = ["ShardRouter", "run_shard", "serve_shard_tcp"]
@@ -199,26 +198,9 @@ def _open_replica(db_path) -> TuningDatabase:
 
 
 def _shard_stats(shard_id: int, server: KernelServer) -> protocol.ShardStats:
-    """This shard's counters in the wire form (histograms, not samples)."""
-    snapshot = server.metrics_snapshot()
-    warm, cold = server.metrics.latency_samples()
+    """This shard's metrics snapshot (one lock acquisition) in the wire form."""
     return protocol.ShardStats(
-        shard_id=shard_id,
-        pid=os.getpid(),
-        requests=snapshot.requests,
-        warm_serves=snapshot.warm_serves,
-        cold_serves=snapshot.cold_serves,
-        dedup_hits=snapshot.dedup_hits,
-        errors=snapshot.errors,
-        tune_batches=snapshot.tune_batches,
-        batched_tunes=snapshot.batched_tunes,
-        queue_depth=snapshot.queue_depth,
-        resident_kernels=snapshot.resident_kernels,
-        warm_histogram=latency_histogram(warm),
-        cold_histogram=latency_histogram(cold),
-        # Additive: {} until a non-default tenant shows up, which keeps the
-        # untenanted stats reply byte-identical to the pre-tenant wire.
-        tenants=server.metrics.tenant_breakdown(),
+        shard_id=shard_id, pid=os.getpid(), **vars(server.metrics_snapshot())
     )
 
 

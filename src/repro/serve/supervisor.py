@@ -61,7 +61,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ProtocolError, ServingError
@@ -77,7 +77,15 @@ from repro.tune.reconcile import (
 # Imported as a module (not a package attribute) so this file is loadable at
 # any point of repro.serve's own package initialization.
 import repro.serve.protocol as protocol
-from repro.serve.metrics import WireProfile, WireSnapshot, percentile_from_histogram
+from repro.serve.metrics import (
+    MetricsSnapshot,
+    ServerMetrics,
+    WireProfile,
+    WireSnapshot,
+    add_histograms,
+    merge_counts,
+    percentile_from_histogram,
+)
 from repro.serve.server import ServeRequest, ServeResult, check_servable
 from repro.serve.shard import DEFAULT_VIRTUAL_NODES, ShardRouter, run_shard
 
@@ -144,59 +152,32 @@ def _spawn_context():
     return multiprocessing.get_context("spawn")
 
 
-@dataclass(frozen=True)
-class ClusterStats:
-    """Cross-shard aggregate counters plus the per-shard breakdown.
+@dataclass(frozen=True, kw_only=True)
+class ClusterStats(MetricsSnapshot):
+    """Cross-shard aggregate metrics plus the per-shard breakdown.
 
-    Counter fields are sums over shards; the percentiles are computed from
-    the element-wise sum of the shards' fixed-bucket latency histograms
-    (bounded-error approximations — see
+    The :class:`~repro.serve.metrics.MetricsSnapshot` fields are the
+    shards' counters and latency histograms added together
+    (:func:`~repro.serve.metrics.merge_counts`), so the percentiles are
+    read off the merged histograms (bounded-error approximations — see
     :func:`~repro.serve.metrics.percentile_from_histogram`).  ``wire`` is
     the supervisor-side wire-path profile (encode/decode/route/flush time
     and bytes — see :class:`~repro.serve.metrics.WireSnapshot`); ``None``
     when the caller aggregated shard stats without a supervisor.
-    ``tenants`` is the cross-shard per-tenant rollup (counters and
-    percentiles summed/merged across shards, plus admission-control state
-    when a supervisor contributed its registry snapshot); empty for
-    untenanted clusters.
+    ``tenants`` is the cross-shard per-tenant rollup (each tenant's blocks
+    merged the same way, with its warm ratio and p50/p95/p99, plus
+    admission-control state when a supervisor contributed its registry
+    snapshot); empty for untenanted clusters.
     """
 
     shards: tuple[protocol.ShardStats, ...]
-    requests: int
-    warm_serves: int
-    cold_serves: int
-    dedup_hits: int
-    errors: int
-    tune_batches: int
-    batched_tunes: int
-    queue_depth: int
-    resident_kernels: int
-    p50_latency_ms: float
-    p95_latency_ms: float
     wire: WireSnapshot | None = None
-    tenants: dict = field(default_factory=dict)
 
-    @property
-    def warm_rate(self) -> float:
-        """Fraction of served requests answered warm (0.0 when unused)."""
-        served = self.warm_serves + self.cold_serves
-        return self.warm_serves / served if served else 0.0
+    def _headline(self) -> str:
+        return f"cluster       {len(self.shards)} shards, {self.requests} requests"
 
-    def report(self) -> str:
-        """Human-readable multi-line summary (the shard-mode ``--stats``)."""
-        lines = [
-            f"cluster       {len(self.shards)} shards, {self.requests} requests "
-            f"(warm {self.warm_serves}, cold {self.cold_serves}, "
-            f"dedup {self.dedup_hits}, errors {self.errors})",
-            f"warm rate     {self.warm_rate * 100:.1f}%",
-            f"tuning        {self.batched_tunes} tunes in {self.tune_batches} batches",
-            f"queue depth   {self.queue_depth} in flight, "
-            f"{self.resident_kernels} resident kernels",
-            f"latency       p50 ≤{self.p50_latency_ms:.3f} ms, "
-            f"p95 ≤{self.p95_latency_ms:.3f} ms (merged histograms)",
-        ]
-        if self.wire is not None:
-            lines.append(self.wire.report())
+    def _details(self) -> list[str]:
+        lines = [] if self.wire is None else [self.wire.report()]
         for tenant, block in sorted(self.tenants.items()):
             lines.append(
                 f"  tenant {tenant}: {block.get('requests', 0)} requests, "
@@ -214,66 +195,42 @@ class ClusterStats:
                 f"cold {stats.cold_serves}, dedup {stats.dedup_hits}, "
                 f"{stats.resident_kernels} resident"
             )
-        return "\n".join(lines)
+        return lines
 
 
-def _merge_histograms(into: list[int], counts) -> None:
-    """Element-wise add ``counts`` into ``into``, growing it as needed."""
-    if len(into) < len(counts):
-        into.extend([0] * (len(counts) - len(into)))
-    for index, count in enumerate(counts):
-        into[index] += count
-
-
-def _aggregate_tenants(
+def _tenant_rollup(
     per_shard: tuple[protocol.ShardStats, ...],
     admission: dict | None = None,
 ) -> dict[str, dict]:
-    """Cross-shard per-tenant rollup: summed counters plus percentiles.
+    """Cross-shard per-tenant blocks: merged counts, warm ratio, p50/p95/p99.
 
     ``admission`` (a :meth:`~repro.tenancy.TenantRegistry.snapshot`) merges
     the supervisor-side quota state — ``in_flight``/``rejected`` and any
     configured limits — into the matching tenant's block.
     """
-    rollup: dict[str, dict] = {}
-    histograms: dict[str, list[int]] = {}
+    blocks: dict[str, list[dict]] = {}
     for stats in per_shard:
-        for tenant, block in getattr(stats, "tenants", {}).items():
-            if not isinstance(block, dict):
-                continue
-            merged = rollup.setdefault(
-                tenant,
-                {
-                    "requests": 0,
-                    "warm_serves": 0,
-                    "cold_serves": 0,
-                    "dedup_hits": 0,
-                    "errors": 0,
-                },
-            )
-            for name in ("requests", "warm_serves", "cold_serves", "dedup_hits", "errors"):
-                value = block.get(name, 0)
-                if isinstance(value, int):
-                    merged[name] += value
-            buckets = histograms.setdefault(tenant, [])
-            for name in ("warm_histogram", "cold_histogram"):
-                counts = block.get(name, ())
-                if isinstance(counts, (list, tuple)) and all(
-                    isinstance(count, int) for count in counts
-                ):
-                    _merge_histograms(buckets, counts)
-    for tenant, merged in rollup.items():
-        buckets = tuple(histograms.get(tenant, ()))
-        served = merged["warm_serves"] + merged["cold_serves"]
-        merged["warm_ratio"] = merged["warm_serves"] / served if served else 0.0
-        merged["p50_latency_ms"] = percentile_from_histogram(buckets, 0.50)
-        merged["p95_latency_ms"] = percentile_from_histogram(buckets, 0.95)
-        merged["p99_latency_ms"] = percentile_from_histogram(buckets, 0.99)
-    if admission:
-        for tenant, state in admission.items():
-            block = rollup.setdefault(tenant, {})
-            block.update(state)
+        for tenant, block in stats.tenants.items():
+            blocks.setdefault(tenant, []).append(block)
+    rollup: dict[str, dict] = {}
+    for tenant, shard_blocks in blocks.items():
+        merged = rollup[tenant] = merge_counts(shard_blocks)
+        warm, cold = merged.get("warm_serves", 0), merged.get("cold_serves", 0)
+        served = add_histograms(
+            merged.get("warm_histogram", ()), merged.get("cold_histogram", ())
+        )
+        merged["warm_ratio"] = warm / (warm + cold) if warm + cold else 0.0
+        merged["p50_latency_ms"] = percentile_from_histogram(served, 0.50)
+        merged["p95_latency_ms"] = percentile_from_histogram(served, 0.95)
+        merged["p99_latency_ms"] = percentile_from_histogram(served, 0.99)
+    for tenant, state in (admission or {}).items():
+        rollup.setdefault(tenant, {}).update(state)
     return rollup
+
+
+#: A fresh server's zero counts: the merge's first block, so a cluster
+#: with no live shard still reports every field.
+_NO_COUNTS = ServerMetrics().snapshot().counts()
 
 
 def aggregate_stats(
@@ -281,30 +238,12 @@ def aggregate_stats(
     wire: WireSnapshot | None = None,
     admission: dict | None = None,
 ) -> ClusterStats:
-    """Merge per-shard stats: sum counters, sum histograms, re-percentile."""
-    def total(name: str) -> int:
-        return sum(getattr(stats, name) for stats in per_shard)
-
-    combined: list[int] = []
-    for stats in per_shard:
-        for histogram in (stats.warm_histogram, stats.cold_histogram):
-            _merge_histograms(combined, histogram)
-    buckets = tuple(combined)
+    """Merge per-shard stats: counters add, histograms add bucket by bucket."""
     return ClusterStats(
+        **merge_counts([_NO_COUNTS, *(stats.counts() for stats in per_shard)]),
         shards=tuple(sorted(per_shard, key=lambda stats: stats.shard_id)),
-        requests=total("requests"),
-        warm_serves=total("warm_serves"),
-        cold_serves=total("cold_serves"),
-        dedup_hits=total("dedup_hits"),
-        errors=total("errors"),
-        tune_batches=total("tune_batches"),
-        batched_tunes=total("batched_tunes"),
-        queue_depth=total("queue_depth"),
-        resident_kernels=total("resident_kernels"),
-        p50_latency_ms=percentile_from_histogram(buckets, 0.50),
-        p95_latency_ms=percentile_from_histogram(buckets, 0.95),
         wire=wire,
-        tenants=_aggregate_tenants(per_shard, admission),
+        tenants=_tenant_rollup(per_shard, admission),
     )
 
 

@@ -5,7 +5,8 @@ multiplication, 64-bit machine words, one butterfly stage per launch.  The
 Figure 5 harness shows those choices swing runtime by large factors across
 bit-widths and devices, so the tuner treats them as *axes* instead:
 
-* the double-word multiplication algorithm (schoolbook vs. Karatsuba),
+* the double-word multiplication algorithm (schoolbook vs. Karatsuba) of
+  workloads that multiply,
 * the machine word width the legalizer splits down to (word padding),
 * the number of NTT butterfly stages fused per launch once the transform no
   longer fits in shared memory (the radix/stage-split of Figure 3a), and
@@ -53,6 +54,10 @@ _STAGE_SPAN_AXIS = (1, 2, 4)
 
 #: Candidate launch batch sizes (the simulator's steady-state sweep range).
 _BATCH_AXIS = (None, 1, 8, 64, 256, 1024)
+
+#: BLAS operations that multiply nothing: their Karatsuba lowering is the
+#: schoolbook one under another name, so only schoolbook is offered.
+_MULTIPLY_FREE = ("vadd", "vsub")
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,11 @@ class TuningSpace:
 
     # -- axes ---------------------------------------------------------------
 
+    def _multiplication_axis(self) -> tuple[str, ...]:
+        if self.workload.kind == BLAS and self.workload.operation in _MULTIPLY_FREE:
+            return (SCHOOLBOOK,)
+        return (SCHOOLBOOK, KARATSUBA)
+
     def _word_bits_axis(self) -> tuple[int, ...]:
         return tuple(w for w in _WORD_BITS_AXIS if w <= self.workload.bits)
 
@@ -251,7 +261,7 @@ class TuningSpace:
         return tuple(spans)
 
     def _enumerate(self):
-        for multiplication in (SCHOOLBOOK, KARATSUBA):
+        for multiplication in self._multiplication_axis():
             for word_bits in self._word_bits_axis():
                 for stage_span in self._stage_span_axis():
                     for batch in _BATCH_AXIS:
@@ -283,7 +293,7 @@ class TuningSpace:
         The hill-climbing strategy's move set; deterministic order.
         """
         moves: list[Candidate] = []
-        for multiplication in (SCHOOLBOOK, KARATSUBA):
+        for multiplication in self._multiplication_axis():
             moves.append(replace(candidate, multiplication=multiplication))
         for word_bits in self._word_bits_axis():
             moves.append(replace(candidate, word_bits=word_bits))

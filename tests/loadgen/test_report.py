@@ -65,7 +65,7 @@ class TestSLOReport:
         assert report.error_rate == pytest.approx(0.1)
         assert report.deadline_miss_rate == pytest.approx(0.1)
         # Nearest-rank over the 8 served latencies 10..80 ms.
-        assert report.p50_latency_ms == pytest.approx(50.0)
+        assert report.p50_latency_ms == pytest.approx(40.0)
         assert report.p95_latency_ms == pytest.approx(80.0)
         assert report.p99_latency_ms == pytest.approx(80.0)
 

@@ -4,13 +4,12 @@ A scraper only needs three invariants from us: every sample line parses as
 ``name{labels} value``, every histogram's ``_bucket`` series is cumulative
 and ends in ``+Inf`` equal to ``_count``, and the serve-layer renderers
 cover every counter the snapshot carries.  Rendering is checked against
-real :class:`ServerMetrics`/:class:`WireProfile` objects plus a minimal
-cluster-stats stand-in (the renderers are deliberately duck-typed so
-``repro.obs`` never imports the serve layer).
+real :class:`ServerMetrics`/:class:`WireProfile` snapshots and cluster
+stats aggregated from real shard stats (the renderers are deliberately
+duck-typed so ``repro.obs`` never imports the serve layer).
 """
 
 import re
-from types import SimpleNamespace
 
 from repro.obs.promtext import (
     render_cluster_metrics,
@@ -25,6 +24,8 @@ from repro.serve.metrics import (
     WireProfile,
     latency_histogram,
 )
+from repro.serve.protocol import ShardStats
+from repro.serve.supervisor import aggregate_stats
 
 #: One exposition sample: metric name, optional {labels}, numeric value.
 SAMPLE = re.compile(
@@ -97,44 +98,60 @@ class TestServerExposition:
         assert "repro_latency_p50_ms" in text
         assert "repro_latency_p95_ms" in text
 
+    def test_renders_the_latency_histograms(self):
+        metrics = ServerMetrics()
+        for latency_s in (0.002, 0.002, 0.050):
+            metrics.record_warm(latency_s)
+        text = render_server_metrics(metrics.snapshot())
+        assert_parseable(text)
+        assert "# TYPE repro_serve_latency_ms histogram" in text
+        assert 'repro_serve_latency_ms_bucket{class="warm",le="2.048"} 2' in text
+        assert 'repro_serve_latency_ms_bucket{class="warm",le="+Inf"} 3' in text
+        assert 'repro_serve_latency_ms_count{class="warm"} 3' in text
+        assert 'repro_serve_latency_ms_count{class="cold"} 0' in text
+        # The percentile gauges are bucket bounds read off the histograms.
+        assert "repro_latency_p50_ms 2.048" in text
+
 
 class TestClusterExposition:
-    def make_stats(self, wire=None):
-        shard = SimpleNamespace(
-            shard_id=0,
-            requests=5,
-            warm_histogram=latency_histogram((0.001, 0.002)),
-            cold_histogram=latency_histogram((0.100,)),
-        )
-        other = SimpleNamespace(
-            shard_id=1,
-            requests=3,
-            warm_histogram=latency_histogram((0.004,)),
-            cold_histogram=latency_histogram(()),
-        )
-        return SimpleNamespace(
-            requests=8,
-            warm_serves=3,
-            cold_serves=1,
-            dedup_hits=4,
+    @staticmethod
+    def shard(shard_id, requests, warm, cold):
+        return ShardStats(
+            shard_id=shard_id,
+            pid=100 + shard_id,
+            requests=requests,
+            warm_serves=len(warm),
+            cold_serves=len(cold),
+            dedup_hits=requests - len(warm) - len(cold),
             errors=0,
             tune_batches=1,
             batched_tunes=1,
             queue_depth=0,
-            resident_kernels=4,
-            shards=(shard, other),
+            resident_kernels=2,
+            warm_histogram=latency_histogram(warm),
+            cold_histogram=latency_histogram(cold),
+        )
+
+    def make_stats(self, wire=None):
+        return aggregate_stats(
+            (
+                self.shard(0, 5, warm=(0.001, 0.002), cold=(0.100,)),
+                self.shard(1, 3, warm=(0.004,), cold=()),
+            ),
             wire=wire,
         )
 
     def test_cluster_counters_and_per_shard_breakdown(self):
-        text = render_cluster_metrics(self.make_stats(), HISTOGRAM_BUCKET_BOUNDS_MS)
+        text = render_cluster_metrics(self.make_stats())
         assert_parseable(text)
+        assert "repro_requests_total 8" in text
+        assert "repro_dedup_hits_total 4" in text
         assert "repro_shards 2" in text
         assert 'repro_shard_requests_total{shard="0"} 5' in text
         assert 'repro_shard_requests_total{shard="1"} 3' in text
 
     def test_latency_histograms_merge_across_shards_per_class(self):
-        text = render_cluster_metrics(self.make_stats(), HISTOGRAM_BUCKET_BOUNDS_MS)
+        text = render_cluster_metrics(self.make_stats())
         warm_count = [
             line
             for line in text.splitlines()
@@ -153,13 +170,11 @@ class TestClusterExposition:
         profile.record_send(100, 0.001, route_s=0.0005)
         profile.record_receive(250, 0.002)
         profile.record_flush(0.0001)
-        text = render_cluster_metrics(
-            self.make_stats(wire=profile.snapshot()), HISTOGRAM_BUCKET_BOUNDS_MS
-        )
+        text = render_cluster_metrics(self.make_stats(wire=profile.snapshot()))
         assert_parseable(text)
         assert "repro_wire_messages_sent_total 1" in text
         assert "repro_wire_bytes_received_total 250" in text
 
     def test_wire_section_absent_without_a_profile(self):
-        text = render_cluster_metrics(self.make_stats(), HISTOGRAM_BUCKET_BOUNDS_MS)
+        text = render_cluster_metrics(self.make_stats())
         assert "repro_wire_" not in text

@@ -1,23 +1,28 @@
-"""Latency histogram percentiles: edge cases and a sampling property.
+"""Latency histograms: percentile edge cases, a sampling property, and
+counts that stay cumulative through every layer that carries them.
 
-`percentile_from_histogram` is the supervisor's only view of cross-shard
-latency (raw samples never cross the wire), so its edge behaviour matters:
-an empty histogram, q=0, q=1, and out-of-domain q (someone passing percent,
-e.g. 95 or 100) must all be well-defined — no division by zero, no indexing
-past the overflow bucket.  The sampling property pins the approximation
-contract against exact quantiles over the raw samples: the histogram answer
-is the upper bound of the true quantile's bucket, so it brackets the exact
-value within one log-2 bucket.
+`percentile_from_histogram` is every view of latency (raw samples are never
+kept), so its edge behaviour matters: an empty histogram, q=0, q=1, and
+out-of-domain q (someone passing percent, e.g. 95 or 100) must all be
+well-defined — no division by zero, no indexing past the overflow bucket.
+The sampling property pins the approximation contract against exact
+quantiles over the raw samples: the histogram answer is the upper bound of
+the true quantile's bucket, so it brackets the exact value within one log-2
+bucket.
 """
 
 import dataclasses
 import math
 import random
 import statistics
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.promtext import render_cluster_metrics
+from repro.serve import protocol
 from repro.serve.metrics import (
     HISTOGRAM_BUCKET_BOUNDS_MS,
     ServerMetrics,
@@ -25,6 +30,8 @@ from repro.serve.metrics import (
     latency_histogram,
     percentile_from_histogram,
 )
+from repro.serve.shard import _shard_stats
+from repro.serve.supervisor import aggregate_stats
 
 
 def bucket_upper_bound_ms(value_ms: float) -> float:
@@ -216,10 +223,16 @@ class TestConcurrentRecording:
             threading.Thread(target=worker, args=(index,))
             for index in range(self.THREADS)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-update as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_server_metrics_conserve_every_event(self):
         metrics = ServerMetrics()
@@ -251,9 +264,12 @@ class TestConcurrentRecording:
         assert snap.warm_serves == total // 4
         assert snap.tune_batches == self.THREADS * (self.EVENTS_PER_THREAD // 50)
         assert snap.batched_tunes == 2 * snap.tune_batches
-        warm, cold = metrics.latency_samples()
-        assert len(warm) == min(snap.warm_serves, 4096)
-        assert len(cold) == min(snap.cold_serves, 4096)
+        # Every serve landed in its latency bucket, none lost or torn.
+        warm_bucket = latency_histogram((0.001,)).index(1)
+        cold_bucket = latency_histogram((0.010,)).index(1)
+        assert snap.warm_histogram[warm_bucket] == sum(snap.warm_histogram) == total // 4
+        assert snap.cold_histogram[cold_bucket] == sum(snap.cold_histogram) == total // 4
+        assert snap.cold_serves == total // 4
 
     def test_wire_profile_conserves_bytes_and_time(self):
         profile = WireProfile()
@@ -279,3 +295,80 @@ class TestConcurrentRecording:
         assert snap.route_s == pytest.approx(0.0005 * total)
         assert snap.decode_s == pytest.approx(0.002 * total)
         assert snap.coalescing_ratio == pytest.approx(4.0)
+
+
+def shard_stats(metrics: ServerMetrics, shard_id: int = 0) -> protocol.ShardStats:
+    """A shard's stats reply over ``metrics``, as the supervisor decodes it."""
+    server = SimpleNamespace(metrics=metrics, metrics_snapshot=metrics.snapshot)
+    reply = protocol.StatsReply(request_id=1, stats=_shard_stats(shard_id, server))
+    return protocol.decode_message(protocol.encode_message(reply)).stats
+
+
+def exposition_samples(text: str) -> dict[str, float]:
+    """Sample name (with labels) -> value for every line of an exposition."""
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if not line.startswith("#")
+    }
+
+
+class TestCumulativeCounts:
+    """Latency counts are cumulative since start at every layer.
+
+    A Prometheus histogram may only grow, and its ``_count`` is the number
+    of events it saw, so a server snapshot, a shard's stats reply, the
+    cluster aggregate and the cluster exposition must each count every
+    warm and cold serve ever recorded, past any sample window, per tenant
+    as in the totals.
+    """
+
+    #: More records per class than any retained window would hold.
+    RECORDS = 5000
+
+    def test_scrapes_never_decrease(self):
+        metrics = ServerMetrics()
+        scrapes = []
+        for latency_s in (0.0005, 0.005):  # 4,096 fast then 4,096 slow
+            for _ in range(4096):
+                metrics.record_request()
+                metrics.record_warm(latency_s)
+            cluster = aggregate_stats((shard_stats(metrics),))
+            scrapes.append(exposition_samples(render_cluster_metrics(cluster)))
+        for scrape in scrapes:
+            assert (
+                scrape['repro_serve_latency_ms_count{class="warm"}']
+                == scrape["repro_warm_serves_total"]
+            )
+        first, second = scrapes
+        assert second["repro_warm_serves_total"] == 8192
+        series = [
+            name for name in first if "_bucket{" in name or "_count{" in name
+        ]
+        assert 'repro_serve_latency_ms_bucket{class="warm",le="1.024"}' in series
+        for name in series:
+            assert second[name] >= first[name], name
+
+    def test_histograms_sum_to_their_counters_at_every_layer(self):
+        metrics = ServerMetrics()
+        for event in range(2 * self.RECORDS):
+            tenant = ("default", "acme")[event % 2]
+            for record, latency_s in (
+                (metrics.record_warm, 1e-5 * (1 + event % 40)),
+                (metrics.record_cold, 1e-3 * (1 + event % 40)),
+            ):
+                metrics.record_request(tenant)
+                record(latency_s, tenant)
+        snapshot = metrics.snapshot()
+        shards = (shard_stats(metrics, 0), shard_stats(metrics, 1))
+        cluster = aggregate_stats(shards)
+        assert snapshot.warm_serves == snapshot.cold_serves == 2 * self.RECORDS
+        assert cluster.warm_serves == cluster.cold_serves == 4 * self.RECORDS
+        for view in (*shards, snapshot, cluster):
+            assert sum(view.warm_histogram) == view.warm_serves
+            assert sum(view.cold_histogram) == view.cold_serves
+            assert set(view.tenants) == {"default", "acme"}
+            for block in view.tenants.values():
+                assert block["warm_serves"] == block["cold_serves"] > 4096
+                assert sum(block["warm_histogram"]) == block["warm_serves"]
+                assert sum(block["cold_histogram"]) == block["cold_serves"]

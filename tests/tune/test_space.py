@@ -1,11 +1,15 @@
 """Tests for the tuning search space (workloads, candidates, constraints)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.driver import CompilerSession
 from repro.errors import TuningError
 from repro.gpu.device import get_device
 from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
-from repro.tune import Candidate, TuningSpace, Workload, default_candidate
+from repro.kernels.ntt_gen import BUTTERFLY_VARIANTS
+from repro.tune import Candidate, TuningSpace, Workload, default_candidate, tune_workload
 
 
 @pytest.fixture
@@ -136,3 +140,49 @@ class TestTuningSpace:
                 for axis in ("multiplication", "word_bits", "stage_span", "batch")
             )
             assert differing == 1
+
+
+class TestMultiplicationAxis:
+    """Karatsuba is offered only to workloads that multiply."""
+
+    @pytest.mark.parametrize(
+        "operation, algorithms",
+        [
+            ("vadd", {"schoolbook"}),
+            ("vsub", {"schoolbook"}),
+            ("vmul", {"schoolbook", "karatsuba"}),
+            ("axpy", {"schoolbook", "karatsuba"}),
+        ],
+    )
+    def test_blas_operations(self, rtx4090, operation, algorithms):
+        space = TuningSpace(Workload(kind="blas", bits=256, operation=operation), rtx4090)
+        assert {candidate.multiplication for candidate in space} == algorithms
+        # Two word widths x six batches per algorithm.
+        assert len(space) == 12 * len(algorithms)
+        assert all(
+            neighbor.multiplication in algorithms
+            for neighbor in space.neighbors(default_candidate())
+        )
+
+    @pytest.mark.parametrize("variant", BUTTERFLY_VARIANTS)
+    def test_butterflies_keep_both_algorithms(self, rtx4090, variant):
+        space = TuningSpace(Workload(kind="ntt", bits=256, operation=variant), rtx4090)
+        assert {candidate.multiplication for candidate in space} == {
+            "schoolbook",
+            "karatsuba",
+        }
+
+    def test_tuned_vadd_lowers_the_body_the_karatsuba_winner_did(self):
+        # Before the axis was narrowed, every vadd tune picked this
+        # candidate on a tie broken by name.
+        karatsuba = Candidate(multiplication="karatsuba", word_bits=64, batch=1)
+        workload = Workload(kind="blas", bits=256, operation="vadd")
+        session = CompilerSession()
+        tuned = tune_workload(workload, "rtx4090", session=session)
+        assert tuned.candidate == replace(karatsuba, multiplication="schoolbook")
+
+        def lowered(candidate):
+            config = candidate.kernel_config(workload)
+            return session.lower(workload.build(config), options=config.rewrite_options())
+
+        assert lowered(tuned.candidate).body == lowered(karatsuba).body
