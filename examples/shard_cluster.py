@@ -4,7 +4,8 @@ One :class:`KernelServer` process eventually saturates; the
 ``repro.serve.shard`` tier scales horizontally by adding processes:
 
 1. start a :class:`ShardSupervisor` — it spawns two shard processes, each a
-   full kernel server owning its own tuning-database *replica* file,
+   full kernel server opening the one tuning-database file and saving its
+   winners into it (merge-on-save under a lock that holds across processes),
 2. serve a mix of kernel families: the supervisor consistent-hashes each
    request's (kernel-family fingerprint, device) onto a shard, so one
    family's traffic always lands on the shard holding its resident table,
@@ -13,9 +14,9 @@ One :class:`KernelServer` process eventually saturates; the
    artifact and still computes),
 4. print the cluster stats: per-shard counters merged into global
    warm/cold/dedup counts and p50/p95 from summed latency histograms,
-5. close the cluster: shards drain, and their replicas are reconciled into
-   the primary database by merge-on-save — winners tuned by *any* shard
-   survive into the next deployment's warmup.
+5. close the cluster and start a second one over the same file: its
+   warm-up serves each saved winner once, on the shard that owns it —
+   winners tuned by *any* shard pre-warm the next cluster.
 
 Run with:  python examples/shard_cluster.py
 """
@@ -36,7 +37,7 @@ def main() -> None:
     db_path = Path(tempfile.gettempdir()) / "repro_shard_cluster.json"
     db_path.unlink(missing_ok=True)
 
-    # 1. Two real shard processes, each with its own tuning-db replica.
+    # 1. Two real shard processes sharing one tuning-db file.
     print(f"=== spawn {SHARDS} shard processes ===")
     supervisor = ShardSupervisor(shards=SHARDS, db=db_path, devices=("rtx4090",))
     for shard_id, pong in sorted(supervisor.ping().items()):
@@ -74,12 +75,16 @@ def main() -> None:
     print("=== cluster stats ===")
     print(supervisor.stats().report())
 
-    # 5. Shutdown reconciles every replica into the primary database.
+    # 5. Both shards saved into the one file; a new cluster warms from it.
     print()
-    print("=== reconcile on close ===")
-    report = supervisor.close()
-    print(report.report())
-    print(f"primary now serves warmup for all shards: {len(TuningDatabase(db_path))} records")
+    print("=== warm a second cluster from the file ===")
+    supervisor.close()
+    print(f"{db_path.name} holds {len(TuningDatabase(db_path))} winners")
+    with ShardSupervisor(shards=SHARDS, db=db_path, devices=("rtx4090",)) as second:
+        print(second.warmup().report())
+        for request in mix:
+            assert second.serve(request).warm
+    print("every family answered warm by the second cluster")
 
 
 if __name__ == "__main__":

@@ -439,9 +439,7 @@ def _run_sharded(
             )
             print(f"trace       {len(spans)} spans -> {args.trace}")
     finally:
-        reconciled = supervisor.close()
-        if reconciled is not None:
-            print(reconciled.report())
+        supervisor.close()
     return 0
 
 

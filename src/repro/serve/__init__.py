@@ -34,8 +34,9 @@ families across server processes:
   listener, source-only trust by default);
 * :mod:`repro.serve.supervisor` — :class:`ShardSupervisor`: spawns,
   monitors and restores shards (local processes and remote TCP
-  listeners alike), each local shard with its own tuning-db replica, and
-  aggregates metrics across them into a :class:`ClusterStats`.
+  listeners alike), the local ones sharing one tuning-database file;
+  warms and refreshes the cluster once per record through the router; and
+  aggregates metrics across the shards into a :class:`ClusterStats`.
 
 ``python -m repro.serve --warmup --once ntt --bits 256 --stats`` drives a
 single-process server from the command line; ``--shards N`` serves the same

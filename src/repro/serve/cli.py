@@ -3,8 +3,8 @@
 The default is one in-process :class:`KernelServer` (``--shards 1``); with
 ``--shards N`` (N ≥ 2) the same actions run against a
 :class:`~repro.serve.ShardSupervisor` — N server processes behind a
-consistent-hash router, each with its own tuning-db replica that is
-reconciled into ``--db`` on exit.  ``--connect host:port,...`` adds remote
+consistent-hash router, all opening and saving into the one ``--db``
+file.  ``--connect host:port,...`` adds remote
 TCP shards (started elsewhere with ``--listen``) to the same ring, and
 ``--listen [host:]port`` runs this process *as* such a shard.
 
@@ -34,9 +34,11 @@ Examples::
 
 Actions compose left to right: ``--invalidate`` and ``--warmup`` run before
 ``--once``/``--demo``, ``--stats`` prints last.  Against a shard cluster,
-``--warmup``/``--invalidate`` broadcast as control messages to every live
-shard (each walks its own database replica in place); ``--tenant`` scopes
-requests and maintenance passes to one tenant namespace.
+``--warmup`` serves each record of ``--db`` once through the router, and
+``--invalidate`` is broadcast to every live shard, each dropping its stale
+records in place (``--refresh`` then re-serves each stale family once
+through the router); ``--tenant`` scopes requests and maintenance passes to
+one tenant namespace.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="local server processes; 1 serves in-process, N>=2 shards "
-        "kernel families across N processes with per-shard db replicas "
-        "reconciled into --db on exit (default: 1, or 0 with --connect)",
+        "kernel families across N processes that share the --db file "
+        "(default: 1, or 0 with --connect)",
     )
     parser.add_argument(
         "--connect",
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="ID",
         help="with --listen: the shard id announced before a supervisor "
-        "assigns one (also names the --db replica)",
+        "assigns one",
     )
     parser.add_argument(
         "--trust",
@@ -424,13 +426,13 @@ def _connect_addresses(args: argparse.Namespace) -> tuple[str, ...]:
     )
 
 
-def _print_control_reports(action: str, reports: dict[int, dict]) -> None:
-    """One line per shard for a broadcast warmup/invalidation summary."""
+def _print_invalidation(reports: dict[int, dict]) -> None:
+    """One line per shard for a broadcast invalidation summary."""
     for shard_id in sorted(reports):
         report = dict(reports[shard_id])
         report.pop("kind", None)
         summary = ", ".join(f"{key} {value}" for key, value in report.items())
-        print(f"{action}     shard {shard_id}: {summary}")
+        print(f"invalidate     shard {shard_id}: {summary}")
 
 
 def _main_sharded(args: argparse.Namespace, shards: int) -> int:
@@ -453,12 +455,11 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
         )
         tenant = args.tenant if args.tenant is not None else DEFAULT_TENANT
         if args.invalidate:
-            _print_control_reports(
-                "invalidate",
-                supervisor.invalidate(tenant=args.tenant, refresh=args.refresh),
+            _print_invalidation(
+                supervisor.invalidate(tenant=args.tenant, refresh=args.refresh)
             )
         if args.warmup:
-            _print_control_reports("warmup", supervisor.warmup(tenant=args.tenant))
+            print(supervisor.warmup(tenant=args.tenant).report())
         if args.once:
             _print_once(supervisor.serve(_once_request(args), tenant=tenant))
         if args.demo:
@@ -476,9 +477,7 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
     finally:
         if endpoint is not None:
             endpoint.close()
-        report = supervisor.close()
-        if report is not None:
-            print(report.report())
+        supervisor.close()
     return 0
 
 

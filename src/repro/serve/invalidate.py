@@ -14,7 +14,8 @@ resident table and kernel cache.  :func:`invalidate_stale` removes all three:
 the database records (tombstoned, so merge-on-save cannot resurrect them),
 the matching resident results, and the cached artifacts behind them.  With
 ``refresh=True`` the affected families are re-tuned and re-served through
-the server's worker pool, so traffic keeps hitting warm answers.
+the server's worker pool (:func:`refresh_stale`), so traffic keeps hitting
+warm answers.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ from dataclasses import dataclass
 from repro.errors import ServingError
 from repro.tenancy import split_tenant, validate_tenant
 from repro.tune.db import TUNER_VERSION, TuningDatabase, TuningRecord
-from repro.serve.server import KernelServer
+from repro.serve.server import KernelServer, ServeResult
 from repro.serve.warmup import request_from_record
 
-__all__ = ["StaleRecord", "InvalidationReport", "find_stale", "invalidate_stale"]
+__all__ = [
+    "StaleRecord",
+    "InvalidationReport",
+    "find_stale",
+    "invalidate_stale",
+    "refresh_stale",
+]
 
 
 @dataclass(frozen=True)
@@ -175,35 +182,39 @@ def invalidate_stale(
             if server.session.evict(result.cache_key):
                 evicted_artifacts += 1
 
-    refreshed: list[str] = []
-    if refresh:
-        pending = []
-        for entry in stale:
-            if entry.record.device not in server.devices:
-                continue
-            try:
-                # A version-stale record can *also* carry an unparsable
-                # legacy workload key — it is classified by the first test
-                # that fails, so parse defensively here.
-                request = request_from_record(entry.record, target=target)
-            except ServingError:
-                continue
-            pending.append(
-                (
-                    entry.record.workload_key,
-                    server.submit(request, tenant=entry.record.tenant),
-                )
-            )
-        for workload_key, future in pending:
-            future.result()
-            refreshed.append(workload_key)
-
+    refreshed = refresh_stale(server, stale, target=target) if refresh else ()
     return InvalidationReport(
         checked=checked,
         stale=stale,
         dropped_records=dropped,
         evicted_resident=evicted_resident,
         evicted_artifacts=evicted_artifacts,
-        refreshed=tuple(refreshed),
+        refreshed=tuple(result.request.workload().key for result in refreshed),
         seconds=time.perf_counter() - started,
     )
+
+
+def refresh_stale(
+    server, stale: tuple[StaleRecord, ...], target: str = "python_exec"
+) -> tuple[ServeResult, ...]:
+    """Re-serve each stale record's family once, waiting for every serve.
+
+    ``server`` is a :class:`KernelServer` or anything with its ``devices``
+    and ``submit(request, tenant=...)`` — the shard supervisor routes these
+    serves to the shard that owns each family.  Records for other devices,
+    and records whose workload key does not parse, are skipped.  The
+    requests run concurrently; the first failure is raised.
+    """
+    pending = []
+    for entry in stale:
+        if entry.record.device not in server.devices:
+            continue
+        try:
+            # A version-stale record can *also* carry an unparsable legacy
+            # workload key — it is classified by the first test that
+            # fails, so parse defensively here.
+            request = request_from_record(entry.record, target=target)
+        except ServingError:
+            continue
+        pending.append(server.submit(request, tenant=entry.record.tenant))
+    return tuple(future.result() for future in pending)

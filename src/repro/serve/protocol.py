@@ -484,36 +484,31 @@ class HelloReply:
 
 
 #: Control actions a :class:`ControlCall` may carry.
-CONTROL_WARMUP = "warmup"
 CONTROL_INVALIDATE = "invalidate"
-_CONTROL_ACTIONS = (CONTROL_WARMUP, CONTROL_INVALIDATE)
+_CONTROL_ACTIONS = (CONTROL_INVALIDATE,)
 
 
 @dataclass(frozen=True)
 class ControlCall:
-    """A cluster-control action for one shard: warmup or invalidation.
+    """A cluster-control action for one shard: stale-record invalidation.
 
-    The supervisor broadcasts these so operators can pre-warm or
-    invalidate a *running* cluster in place (the ROADMAP's control-plane
-    item) instead of restarting every shard.  ``tenant`` scopes the action
-    to one tenant's namespace; ``None`` means every namespace.
-    ``refresh`` (invalidation only) re-tunes and re-serves the dropped
-    families before replying.
+    The supervisor broadcasts these so operators can invalidate a
+    *running* cluster in place instead of restarting every shard: the
+    shard drops its stale records and evicts what it served from them.
+    ``tenant`` scopes the action to one tenant's namespace; ``None`` means
+    every namespace.
     """
 
     request_id: int
-    action: str
+    action: str = CONTROL_INVALIDATE
     tenant: str | None = None
-    target: str = "python_exec"
-    refresh: bool = False
 
 
 @dataclass(frozen=True)
 class ControlReply:
     """One shard's outcome of a :class:`ControlCall`.
 
-    ``report`` is the action's JSON-ready summary dict (the wire form of a
-    :class:`~repro.serve.warmup.WarmupReport` /
+    ``report`` is the action's JSON-ready summary dict (the wire form of an
     :class:`~repro.serve.invalidate.InvalidationReport` — the protocol
     layer never interprets it, mirroring how trace spans travel).
     """
@@ -642,16 +637,7 @@ def _decode_control(payload: dict) -> ControlCall:
     tenant = payload.get("tenant")
     if tenant is not None:
         tenant = _decode_tenant_field(tenant)
-    target = payload.get("target", "python_exec")
-    if not isinstance(target, str) or not target:
-        raise ProtocolError(f"control target must be a non-empty string, got {target!r}")
-    return ControlCall(
-        request_id=_request_id(payload),
-        action=action,
-        tenant=tenant,
-        target=target,
-        refresh=bool(payload.get("refresh", False)),
-    )
+    return ControlCall(request_id=_request_id(payload), action=action, tenant=tenant)
 
 
 def _validate_hello(message):
@@ -755,8 +741,6 @@ _MESSAGE_TYPES = {
         lambda m, frames: {
             "request_id": m.request_id,
             "action": m.action,
-            "target": m.target,
-            "refresh": m.refresh,
             **({"tenant": m.tenant} if m.tenant is not None else {}),
         },
         lambda p, allow, frames: _decode_control(p),

@@ -485,7 +485,7 @@ class KernelServer:
 
     # -- warmup / invalidation ----------------------------------------------
 
-    def warm(self, target: str | None = None, tenant: str | None = None):
+    def warm(self, tenant: str | None = None):
         """Pre-compile every recorded winner for this server's devices.
 
         ``tenant`` scopes the pass to one namespace (``None`` warms every
@@ -494,9 +494,7 @@ class KernelServer:
         """
         from repro.serve.warmup import warm_server
 
-        if target is None:
-            return warm_server(self, tenant=tenant)
-        return warm_server(self, target=target, tenant=tenant)
+        return warm_server(self, tenant=tenant)
 
     def invalidate(self, refresh: bool = False, tenant: str | None = None):
         """Drop stale tuning records and their served kernels.

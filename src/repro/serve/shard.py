@@ -4,7 +4,8 @@ Three parts live here:
 
 * :class:`ShardRouter` — maps a request's **(kernel-family fingerprint,
   device)** pair onto one of N shard ids with a consistent-hash ring.  Each
-  shard owns many virtual nodes on the ring, so keys spread evenly; removing
+  shard owns :data:`VIRTUAL_NODES` points on the ring, so keys spread
+  evenly; removing
   a shard (crash, drain) remaps *only the keys that lived on it* — every
   other family keeps its shard, keeping their resident tables warm.  Routing
   is deterministic across processes and runs: any router built over the same
@@ -31,11 +32,9 @@ on a listener: executable artifacts are downgraded to source text — see
 ``docs/wire-protocol.md``).  Trust only governs what a shard *sends*: a
 shard never unpickles what it receives.
 
-A shard owns its own :class:`~repro.tune.TuningDatabase` *replica* (its own
-file), so shards never contend on one database file during traffic; the
-supervisor reconciles the replicas into the primary database with
-:func:`repro.tune.reconcile.reconcile_replicas` (merge-on-save) at shutdown
-or on demand.
+Every local shard opens the supervisor's tuning-database file itself and
+saves its winners into it through the database's merge-on-save, whose lock
+holds across processes; a TCP listener keeps its own file.
 """
 
 from __future__ import annotations
@@ -48,14 +47,7 @@ import socket
 import threading
 import time
 
-from pathlib import Path
-
-from repro.errors import (
-    DeadlineExceededError,
-    ProtocolError,
-    ServingError,
-    TuningError,
-)
+from repro.errors import DeadlineExceededError, ProtocolError, ServingError
 from repro.tune.db import TuningDatabase
 
 # Imported as a module (not a package attribute) so this file is loadable at
@@ -73,7 +65,7 @@ HANDSHAKE_TIMEOUT_S = 10.0
 
 #: Virtual nodes per shard on the hash ring.  More nodes smooth the key
 #: distribution (the classic consistent-hashing trade-off against ring size).
-DEFAULT_VIRTUAL_NODES = 64
+VIRTUAL_NODES = 64
 
 
 def _ring_position(key: str) -> int:
@@ -86,7 +78,6 @@ class ShardRouter:
 
     Args:
         shard_ids: the shard ids participating in routing.
-        virtual_nodes: ring points per shard (:data:`DEFAULT_VIRTUAL_NODES`).
 
     The routing key is ``fingerprint::device`` — the tuning database's own
     family key — so all traffic for one (kernel family, device) pair lands
@@ -96,14 +87,7 @@ class ShardRouter:
     steady-state routing is a dictionary lookup plus a ring bisect.
     """
 
-    def __init__(
-        self,
-        shard_ids,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-    ) -> None:
-        if virtual_nodes < 1:
-            raise ServingError(f"virtual node count must be positive, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self, shard_ids) -> None:
         self._shard_ids: set[int] = set()
         self._ring: list[tuple[int, int]] = []  # (position, shard_id), sorted
         self._fingerprints: dict[object, str] = {}
@@ -127,7 +111,7 @@ class ShardRouter:
             if shard_id in self._shard_ids:
                 return
             self._shard_ids.add(shard_id)
-            for node in range(self.virtual_nodes):
+            for node in range(VIRTUAL_NODES):
                 position = _ring_position(f"shard-{shard_id}#vnode-{node}")
                 bisect.insort(self._ring, (position, shard_id))
 
@@ -180,21 +164,6 @@ class ShardRouter:
 
 
 # -- the shard process -------------------------------------------------------
-
-
-def _open_replica(db_path) -> TuningDatabase:
-    """This shard's tuning-db replica, quarantining an unreadable file."""
-    if db_path is None:
-        return TuningDatabase()
-    try:
-        return TuningDatabase(db_path)
-    except TuningError:
-        path = Path(db_path)
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-        return TuningDatabase(db_path)
 
 
 def _shard_stats(shard_id: int, server: KernelServer) -> protocol.ShardStats:
@@ -352,19 +321,13 @@ def _serve_connection(
                 )
             )
         elif isinstance(message, protocol.ControlCall):
-            # Warmup/invalidation can take seconds (they compile kernels), so
-            # they run off-loop: warm traffic on this connection keeps
-            # flowing and the reply correlates by request_id like any other.
+            # Invalidation rebuilds every record's kernel family to check its
+            # fingerprint, so it runs off-loop: warm traffic on this
+            # connection keeps flowing and the reply correlates by
+            # request_id like any other.
             def control(message=message) -> None:
                 try:
-                    if message.action == protocol.CONTROL_WARMUP:
-                        report = server.warm(
-                            target=message.target, tenant=message.tenant
-                        )
-                    else:
-                        report = server.invalidate(
-                            refresh=message.refresh, tenant=message.tenant
-                        )
+                    report = server.invalidate(tenant=message.tenant)
                     reply(
                         protocol.ControlReply(
                             request_id=message.request_id,
@@ -399,12 +362,11 @@ def run_shard(
     """The local shard process main loop (the supervisor's spawn target).
 
     ``sock`` is this process's end of the socketpair the supervisor
-    spawned it with.  Owns one :class:`KernelServer` over this shard's
-    device subset and its own tuning-database replica at ``db_path``
-    (``None`` keeps it in memory).  A replica torn by a crashed writer must
-    not crash-loop the shard: an unreadable file is quarantined (renamed
-    ``*.corrupt``) and the shard starts over with an empty replica — the
-    same "corrupt replicas are skippable" stance reconciliation takes.
+    spawned it with.  Owns one :class:`KernelServer` over the cluster's
+    devices and the tuning-database file at ``db_path`` (``None`` keeps it
+    in memory), which every local shard of the cluster opens: each saves
+    its winners into the file through merge-on-save, so a shard restarted
+    over it starts with every winner the cluster has tuned.
 
     The server is built *before* the hello is answered, so the supervisor's
     liveness deadline never counts start-up.  The supervisor spawned this
@@ -414,7 +376,7 @@ def run_shard(
     its end — drains the server and exits.
     """
     connection = protocol.StreamConnection(sock)
-    server = KernelServer(db=_open_replica(db_path), devices=devices, workers=workers)
+    server = KernelServer(db=TuningDatabase(db_path), devices=devices, workers=workers)
     try:
         _serve_session(connection, shard_id, server, protocol.TRUST_PICKLED)
     finally:
@@ -499,8 +461,9 @@ def serve_shard_tcp(
 ) -> None:
     """Serve one shard over a TCP listener (the ``--listen`` entry point).
 
-    One :class:`KernelServer` (with its own tuning-db replica at
-    ``db_path``) lives for the whole listener lifetime, so its resident
+    One :class:`KernelServer` (with its own tuning database at ``db_path``;
+    an unreadable file raises :class:`~repro.errors.TuningError`) lives for
+    the whole listener lifetime, so its resident
     table and kernel cache stay warm across supervisor reconnects.  The
     listener accepts **concurrent supervisor connections** — each runs its
     own session thread over the shared server, which is what lets a
@@ -522,8 +485,7 @@ def serve_shard_tcp(
     Prometheus-style exposition and retained trace spans over HTTP for the
     listener's lifetime — the ``--metrics-port`` flag in ``--listen`` mode.
     """
-    db = _open_replica(db_path)
-    server = KernelServer(db=db, devices=devices, workers=workers)
+    server = KernelServer(db=TuningDatabase(db_path), devices=devices, workers=workers)
     metrics_endpoint = None
     if metrics_port is not None:
         # Imported lazily so the shard hot path never touches the HTTP

@@ -9,9 +9,11 @@ unchanged):
 
 * **Shards** — a local shard is a real OS process running
   :func:`~repro.serve.shard.run_shard` on one end of a
-  ``socket.socketpair()``, owning its device subset and its own
-  tuning-database *replica* file (:func:`~repro.tune.reconcile.replica_path`),
-  so shards share nothing at runtime.  ``connect=("host:port", ...)`` adds
+  ``socket.socketpair()``, serving every device of the cluster.  Local
+  shards open the one tuning-database file (``db``) and save their winners
+  into it through the database's merge-on-save, whose lock
+  (:func:`repro.atomic_files.path_lock`) holds across processes.
+  ``connect=("host:port", ...)`` adds
   shards served by :func:`~repro.serve.shard.serve_shard_tcp` listeners
   (other machines, or just other processes) to the same ring.  Every link,
   local or remote, is a :class:`~repro.serve.protocol.StreamConnection`
@@ -35,7 +37,7 @@ unchanged):
   last pong is younger than :data:`_PING_TIMEOUT_S`.  The monitor recovers
   a shard that is not: it leaves the ring (its keys rebalance to ring
   successors), its pending requests re-route, and it is restored — a local
-  process killed and respawned over the same replica file, a remote
+  process killed and respawned (re-reading the database file), a remote
   address re-dialed — before it re-joins the ring.  Restores follow
   :func:`_restart_backoff`: the first attempt is immediate, later ones
   back off exponentially.
@@ -43,10 +45,11 @@ unchanged):
   its counters and fixed-bucket latency histograms over the wire and merges
   them into one :class:`ClusterStats`: global warm/cold/dedup counts and
   p50/p95 computed from the *summed* histograms, plus the per-shard rows.
-* **Reconciliation** — :meth:`ShardSupervisor.reconcile` (also run at
-  :meth:`close`) folds every replica back into the primary database with
-  :func:`~repro.tune.reconcile.reconcile_replicas`, so winners tuned by any
-  shard survive into the next deployment's warmup.
+* **Maintenance** — every local shard sees every record of the file, so
+  :meth:`ShardSupervisor.warmup` serves each record once through the router
+  (:func:`~repro.serve.warmup.warm_server`) instead of once per shard, and
+  :meth:`ShardSupervisor.invalidate` broadcasts the drop-and-evict, then
+  with ``refresh`` re-serves each stale family once through the router.
 """
 
 from __future__ import annotations
@@ -63,16 +66,12 @@ from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.errors import ProtocolError, ServingError
 from repro.obs import trace as tracing
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry, validate_tenant
-from repro.tune.reconcile import (
-    ReconcileReport,
-    prune_quarantine,
-    reconcile_replicas,
-    replica_path,
-)
+from repro.tune.db import TuningDatabase
 
 # Imported as a module (not a package attribute) so this file is loadable at
 # any point of repro.serve's own package initialization.
@@ -86,8 +85,10 @@ from repro.serve.metrics import (
     merge_counts,
     percentile_from_histogram,
 )
+from repro.serve.invalidate import find_stale, refresh_stale
 from repro.serve.server import ServeRequest, ServeResult, check_servable
-from repro.serve.shard import DEFAULT_VIRTUAL_NODES, ShardRouter, run_shard
+from repro.serve.shard import ShardRouter, run_shard
+from repro.serve.warmup import WarmupReport, warm_server
 
 __all__ = ["ClusterStats", "ShardSupervisor"]
 
@@ -292,14 +293,8 @@ class _ShardHandle:
     younger than :data:`_PING_TIMEOUT_S`.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        devices: tuple[str, ...],
-        address: tuple[str, int] | None = None,
-    ) -> None:
+    def __init__(self, shard_id: int, address: tuple[str, int] | None = None) -> None:
         self.shard_id = shard_id
-        self.devices = devices
         self.address = address
         self.process = None
         self.links: list[_Link] = []
@@ -385,20 +380,17 @@ class ShardSupervisor:
     Args:
         shards: local shard process count (≥ 1, or 0 when ``connect`` names
             at least one remote shard).
-        db: primary tuning-database file; each local shard gets its own
-            replica next to it (``None``: per-shard in-memory databases,
-            nothing to reconcile).  Remote shards keep their databases on
-            their own machines — reconciliation never assumes shared disk.
-        devices: the devices the cluster serves.  By default every shard
-            serves all of them (a kernel configuration is per-device state,
-            not a hardware handle); with ``partition_devices=True`` the
-            devices are split round-robin so each *local* shard owns a
-            disjoint subset, and routing only considers shards owning the
-            request's device.  Remote shards always serve all devices.
+        db: the tuning-database file every local shard opens and saves
+            into (``None``: per-shard in-memory databases).  An unreadable
+            file raises :class:`~repro.errors.TuningError` before any shard
+            starts.  Remote shards keep their databases on their own
+            machines — no shared disk is assumed.
+        devices: the devices the cluster serves; every shard serves all of
+            them (a kernel configuration is per-device state, not a hardware
+            handle), and :meth:`submit` refuses any other device.
         workers: worker threads per local shard.
         restart: restore dead shards — respawn local ones, re-dial remote
             ones (on by default).
-        virtual_nodes: consistent-hash ring points per shard.
         connect: remote shard addresses (``"host:port"`` strings or
             ``(host, port)`` pairs), each a
             :func:`~repro.serve.shard.serve_shard_tcp` listener.  Remote
@@ -440,9 +432,7 @@ class ShardSupervisor:
         db: str | Path | None = None,
         devices: tuple[str, ...] = ("rtx4090",),
         workers: int = 4,
-        partition_devices: bool = False,
         restart: bool = True,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         connect: tuple = (),
         remote_trust: str = protocol.TRUST_SOURCE,
         connect_timeout: float = 10.0,
@@ -457,14 +447,12 @@ class ShardSupervisor:
             raise ServingError(f"shard count must be non-negative, got {shards}")
         if not devices:
             raise ServingError("a shard supervisor needs at least one device")
-        if partition_devices and len(devices) < shards:
-            raise ServingError(
-                f"cannot partition {len(devices)} device(s) across {shards} shards"
-            )
         if remote_trust not in (protocol.TRUST_SOURCE, protocol.TRUST_PICKLED):
             raise ServingError(f"unknown remote trust level {remote_trust!r}")
         if pool < 1:
             raise ServingError(f"connection pool size must be positive, got {pool}")
+        if db is not None:
+            TuningDatabase(db)  # an unreadable file fails here, not in every shard
         self.devices = tuple(devices)
         self.db_path = Path(db) if db is not None else None
         self.workers = workers
@@ -480,24 +468,14 @@ class ShardSupervisor:
         self._lock = threading.RLock()
         self._request_ids = itertools.count(1)
         self._routed: dict[int, int] = {}  # shard_id -> requests routed there
-        shard_devices = {
-            shard_id: (
-                tuple(self.devices[shard_id::shards])
-                if partition_devices
-                else self.devices
-            )
-            for shard_id in range(shards)
-        }
         self._handles: dict[int, _ShardHandle] = {
-            shard_id: _ShardHandle(shard_id, owned)
-            for shard_id, owned in shard_devices.items()
+            shard_id: _ShardHandle(shard_id) for shard_id in range(shards)
         }
-        # Remote ring ids continue after the local ones; remote shards
-        # always serve the full device set (their hardware is their own).
+        # Remote ring ids continue after the local ones.
         for offset, address in enumerate(addresses):
             shard_id = shards + offset
-            self._handles[shard_id] = _ShardHandle(shard_id, self.devices, address)
-        self.router = ShardRouter(self._handles, virtual_nodes=virtual_nodes)
+            self._handles[shard_id] = _ShardHandle(shard_id, address)
+        self.router = ShardRouter(self._handles)
         spawned = {}
         try:
             # Spawn every local shard before handshaking any, so their
@@ -526,22 +504,13 @@ class ShardSupervisor:
 
     # -- spawning -----------------------------------------------------------
 
-    def shard_replica_path(self, shard_id: int) -> Path | None:
-        """The tuning-db replica file a shard owns (``None`` when in-memory)."""
-        if self.db_path is None:
-            return None
-        return replica_path(self.db_path, shard_id)
-
     def _spawn(self, handle: _ShardHandle) -> protocol.StreamConnection:
         """Start a local shard process on one end of a fresh socketpair."""
         parent, child = socket.socketpair()
         process = self._context.Process(
             target=run_shard,
-            args=(child, handle.shard_id, handle.devices),
-            kwargs={
-                "db_path": self.shard_replica_path(handle.shard_id),
-                "workers": self.workers,
-            },
+            args=(child, handle.shard_id, self.devices),
+            kwargs={"db_path": self.db_path, "workers": self.workers},
             name=f"repro-shard-{handle.shard_id}",
             daemon=True,
         )
@@ -869,8 +838,9 @@ class ShardSupervisor:
         """Take a dead shard off the ring, re-route its pending work,
         restore it on the backoff, and put it back on the ring.
 
-        A local shard is restored by spawning a fresh process over its
-        replica file, a remote one by re-dialing its address.  Restores
+        A local shard is restored by spawning a fresh process (which
+        re-reads the database file), a remote one by re-dialing its
+        address.  Restores
         follow :func:`_restart_backoff` (attempt 1 immediate, exponential to
         :data:`_RESTART_BACKOFF_MAX_S` after), so a shard that dies at
         startup — a corrupt environment, an import error — is retried at a
@@ -942,12 +912,8 @@ class ShardSupervisor:
         deadline_ms: float | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
-        allowed_excluding = set(excluding)
-        for handle in self._handles.values():
-            if request.device not in handle.devices:
-                allowed_excluding.add(handle.shard_id)
         route_started = time.perf_counter()
-        shard_id = self.router.route(request, excluding=frozenset(allowed_excluding))
+        shard_id = self.router.route(request, excluding=excluding)
         route_s = time.perf_counter() - route_started
         handle = self._handles[shard_id]
         request_id = next(self._request_ids)
@@ -992,7 +958,7 @@ class ShardSupervisor:
                     self._dispatch(
                         request,
                         future,
-                        excluding=frozenset(allowed_excluding | {shard_id}),
+                        excluding=excluding | {shard_id},
                         trace=trace,
                         deadline_ms=deadline_ms,
                         tenant=tenant,
@@ -1026,6 +992,9 @@ class ShardSupervisor:
         past the budget sheds it — the future then raises
         :class:`~repro.errors.DeadlineExceededError` instead of returning
         a result nobody is waiting for.
+
+        A request for a device outside :attr:`devices` raises
+        :class:`~repro.errors.ServingError` here.
         """
         if deadline_ms is not None and not deadline_ms > 0:
             raise ServingError(
@@ -1033,6 +1002,11 @@ class ShardSupervisor:
             )
         validate_tenant(tenant)
         check_servable(request)
+        if request.device not in self.devices:
+            raise ServingError(
+                f"device {request.device!r} is not served by this cluster "
+                f"(devices: {', '.join(self.devices)})"
+            )
         with self._lock:
             if self._closed:
                 raise ServingError("shard supervisor is closed")
@@ -1152,31 +1126,31 @@ class ShardSupervisor:
             admission=self.tenants.snapshot(),
         )
 
-    def warmup(
-        self,
-        tenant: str | None = None,
-        target: str = "python_exec",
-        timeout: float = 300.0,
-    ) -> dict[int, dict]:
-        """Broadcast an in-place warmup to every live shard.
+    def _maintenance_door(self) -> SimpleNamespace:
+        """The front door warm-up and refresh serve through: the database
+        file's records (empty without ``db``), this cluster's devices, and
+        routing without tenant admission — maintenance is not traffic."""
 
-        Each shard pre-compiles its recorded tuning winners into its
-        resident table (:func:`~repro.serve.warmup.warm_server`) without a
-        restart; ``tenant`` scopes the pass to one namespace, ``None``
-        warms them all.  Returns shard id → warmup summary; a shard that
-        cannot run the pass reports an ``"error"`` entry instead of failing
-        the broadcast.
-        """
-        return self._control(
-            functools.partial(
-                protocol.ControlCall,
-                action=protocol.CONTROL_WARMUP,
-                tenant=tenant,
-                target=target,
-            ),
-            tenant,
-            timeout,
+        def submit(request: ServeRequest, tenant: str = DEFAULT_TENANT) -> Future:
+            future: Future = Future()
+            self._dispatch(request, future, tenant=tenant)
+            return future
+
+        return SimpleNamespace(
+            db=TuningDatabase(self.db_path), devices=self.devices, submit=submit
         )
+
+    def warmup(self, tenant: str | None = None) -> WarmupReport:
+        """Serve every record of the database file once through the router.
+
+        Every local shard opens the file, so the record's family compiles
+        once, on the shard that serves its traffic — a remote shard
+        included — and lands in that shard's resident table
+        (:func:`~repro.serve.warmup.warm_server`).  ``tenant`` scopes the
+        pass to one namespace, ``None`` warms them all.  These serves are
+        not admitted against tenant quotas.
+        """
+        return warm_server(self._maintenance_door(), tenant=tenant)
 
     def invalidate(
         self,
@@ -1189,25 +1163,19 @@ class ShardSupervisor:
         Each shard drops its stale tuning records and the served state
         behind them (:func:`~repro.serve.invalidate.invalidate_stale`);
         ``tenant`` scopes the pass so one tenant's invalidation never
-        evicts another's warm results, and ``refresh`` re-tunes the
-        dropped families in place.  Returns shard id → invalidation
-        summary, with per-shard ``"error"`` entries instead of broadcast
-        failure.
+        evicts another's warm results.  With ``refresh``, each stale family
+        of the database file is then re-served once through the router (a
+        fresh search on the shard that owns it, not admitted against tenant
+        quotas) and listed under ``"refreshed"`` in that shard's summary.
+        Returns shard id → invalidation summary, with per-shard ``"error"``
+        entries instead of broadcast failure.
         """
-        return self._control(
-            functools.partial(
-                protocol.ControlCall,
-                action=protocol.CONTROL_INVALIDATE,
-                tenant=tenant,
-                refresh=refresh,
-            ),
-            tenant,
-            timeout,
-        )
-
-    def _control(self, call, tenant: str | None, timeout: float) -> dict[int, dict]:
         if tenant is not None:
             validate_tenant(tenant)
+        # Read the file before the shards tombstone its stale records.
+        door = self._maintenance_door()
+        stale = find_stale(door.db, tenant=tenant) if refresh else ()
+        call = functools.partial(protocol.ControlCall, tenant=tenant)
         with self._lock:
             handles = [h for h in self._handles.values() if h.alive()]
         reports: dict[int, dict] = {}
@@ -1217,10 +1185,10 @@ class ShardSupervisor:
             except Exception as error:  # noqa: BLE001 - per-shard, not fatal
                 reports[handle.shard_id] = {"error": str(error)}
                 continue
-            report = getattr(reply, "report", None)
-            reports[handle.shard_id] = (
-                dict(report) if isinstance(report, dict) else {}
-            )
+            reports[handle.shard_id] = dict(getattr(reply, "report", {}))
+        for result in refresh_stale(door, stale):
+            report = reports.setdefault(self.router.route(result.request), {})
+            report.setdefault("refreshed", []).append(result.request.workload().key)
         return reports
 
     def wire_snapshot(self) -> WireSnapshot:
@@ -1253,33 +1221,18 @@ class ShardSupervisor:
         spans.sort(key=lambda one: one.ts_us)
         return tuple(spans)
 
-    # -- reconciliation / lifecycle ----------------------------------------
+    # -- lifecycle ------------------------------------------------------------
 
-    def reconcile(self) -> ReconcileReport | None:
-        """Fold every shard replica into the primary database (if file-backed).
-
-        Safe while shards are serving: each replica file is a consistent
-        atomic snapshot (the shards' own merge-on-save), and the primary is
-        written with the same semantics.
-        """
-        if self.db_path is None:
-            return None
-        return reconcile_replicas(self.db_path)
-
-    def close(self) -> ReconcileReport | None:
-        """Drain and stop every local shard, disconnect from remote shards,
-        then reconcile replicas (and return the report when file-backed).
+    def close(self) -> None:
+        """Drain and stop every local shard, disconnect from remote shards.
 
         Remote shards are **not** shut down — their lifecycle belongs to
         the operator who started their listeners; they keep their warm
-        state and go back to accepting the next supervisor.  Quarantined
-        replica files (``*.corrupt``, renamed aside by crashed shards) past
-        their retention age are dropped here, so a long-lived deployment
-        directory does not accumulate them forever.
+        state and go back to accepting the next supervisor.
         """
         with self._lock:
             if self._closed:
-                return None
+                return
             self._closed = True
         # A restore in flight finishes first, so no shard is spawned or
         # re-dialed behind close()'s back.
@@ -1309,11 +1262,6 @@ class ShardSupervisor:
                 if not future.done():
                     _resolve(future, error=ServingError("shard supervisor closed"))
             handle.drop_links()
-        report = self.reconcile()
-        if self.db_path is not None:
-            for dropped in prune_quarantine(self.db_path):
-                _LOG.info("dropped aged-out quarantined replica %s", dropped)
-        return report
 
     def __enter__(self) -> ShardSupervisor:
         return self

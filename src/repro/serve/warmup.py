@@ -152,6 +152,11 @@ def warm_server(
 ) -> WarmupReport:
     """Serve every live database record so later traffic is answered warm.
 
+    ``server`` is a :class:`KernelServer` or anything with its ``db``,
+    ``devices`` and ``submit(request, tenant=...)``: the shard supervisor
+    passes the records of its database file and routes each serve to the
+    shard that owns the record's family.
+
     Requests are submitted together (the worker pool compiles them
     concurrently) and then awaited, so warmup wall time is bounded by the
     slowest family, not the sum.

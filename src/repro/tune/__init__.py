@@ -12,8 +12,6 @@ layers behind one driver entry point:
   driver's content-addressed cache and the analytic GPU cost model;
 * :mod:`repro.tune.db` — the persistent per-device tuning database, keyed
   by (kernel fingerprint family, device, tuner version);
-* :mod:`repro.tune.reconcile` — folds the sharded serving tier's per-shard
-  database replicas back into the primary (merge-on-save semantics);
 * :mod:`repro.tune.tuner` — :class:`Autotuner`, which ties them together
   and backs :meth:`CompilerSession.compile_tuned` and the frontends'
   ``autotune=True`` plumbing.
@@ -24,14 +22,6 @@ single named workload from the command line.
 
 from repro.tune.db import TUNER_VERSION, DbStats, TuningDatabase, TuningRecord
 from repro.tune.evaluate import CandidateEvaluator, CandidateScore
-from repro.tune.reconcile import (
-    ReconcileReport,
-    find_quarantined,
-    find_replicas,
-    prune_quarantine,
-    reconcile_replicas,
-    replica_path,
-)
 from repro.tune.search import (
     STRATEGIES,
     SearchResult,
@@ -59,12 +49,6 @@ __all__ = [
     "TuningRecord",
     "CandidateEvaluator",
     "CandidateScore",
-    "ReconcileReport",
-    "find_quarantined",
-    "find_replicas",
-    "prune_quarantine",
-    "reconcile_replicas",
-    "replica_path",
     "STRATEGIES",
     "SearchResult",
     "Trial",

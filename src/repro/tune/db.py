@@ -101,8 +101,8 @@ class TuningRecord:
         """The database key: tenant namespace + family + device + version.
 
         The default namespace is the *bare* legacy key (no prefix), which
-        is what keeps pre-tenant database files and replicas readable and
-        mergeable without rewriting; a non-default tenant's key carries a
+        is what keeps pre-tenant database files readable and mergeable
+        without rewriting; a non-default tenant's key carries a
         ``tenant::`` prefix.
         """
         return qualify_key(
@@ -198,7 +198,7 @@ class TuningDatabase:
 
         Raises :class:`TuningError` for unreadable, corrupt, or
         schema-mismatched files.  This is the read half that both loading
-        and merging (:meth:`merge_file`) are built on.
+        and merge-on-save are built on.
         """
         path = Path(path)
         try:
@@ -297,16 +297,13 @@ class TuningDatabase:
 
     def merge_sections(
         self, records: dict[str, TuningRecord], dropped: dict[str, float]
-    ) -> int:
+    ) -> None:
         """Merge another database's (records, tombstones) into this one.
 
-        The reconciliation primitive behind merge-on-save and replica
-        reconciliation: per key, the newest ``created_at`` wins; a tombstone
-        beats any record created at or before it, and a strictly newer
-        record (a re-tune) beats the tombstone.  Returns the number of
-        records adopted or replaced.
+        The merge behind merge-on-save: per key, the newest ``created_at``
+        wins; a tombstone beats any record created at or before it, and a
+        strictly newer record (a re-tune) beats the tombstone.
         """
-        adopted = 0
         with self._lock:
             for key, stamp in dropped.items():
                 if stamp > self._dropped.get(key, float("-inf")):
@@ -322,18 +319,6 @@ class TuningDatabase:
                 if mine is None or record.created_at > mine.created_at:
                     self._records[key] = record
                     self._dropped.pop(key, None)
-                    adopted += 1
-        return adopted
-
-    def merge_file(self, path: str | Path) -> int:
-        """Merge another database *file* (e.g. a shard replica) into this one.
-
-        Returns the number of records adopted; raises :class:`TuningError`
-        for an unreadable or corrupt file.  Call :meth:`save` afterwards to
-        persist the union.
-        """
-        records, dropped = self.parse_file(path)
-        return self.merge_sections(records, dropped)
 
     def _merge_from_disk(self) -> None:
         # Parallel tuners share one database file; a blind write would be

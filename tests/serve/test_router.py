@@ -112,7 +112,3 @@ class TestValidation:
     def test_empty_router_rejected(self):
         with pytest.raises(ServingError, match="at least one shard"):
             ShardRouter(())
-
-    def test_bad_virtual_node_count_rejected(self):
-        with pytest.raises(ServingError, match="virtual node count"):
-            ShardRouter(range(2), virtual_nodes=0)

@@ -91,18 +91,23 @@ class TestShardMode:
         assert "demo        8 requests" in out
         assert "routing     shard" in out
         assert "cluster       2 shards" in out
-        assert "reconciled 2 replica(s)" in out
         payload = json.loads((tmp_path / "db.json").read_text())
         assert len(payload["records"]) >= 1
+        assert not list(tmp_path.glob("*.shard*.json"))
 
-    def test_warmup_broadcasts_in_shard_mode(self, tmp_path, capsys):
-        # The control plane made --warmup a per-shard broadcast (it used to
-        # be rejected outside single-process mode): every shard answers
-        # with its own warmup report line.
+    def test_shards_serve_and_warm_from_the_db_file(self, tmp_path, capsys):
+        # A winner one server tuned into --db is served by a shard without
+        # a search, and warm-up serves it once across the cluster: one
+        # report, the record warmed.
         db = str(tmp_path / "db.json")
+        assert main(NTT_ARGS + ["--db", db]) == 0
+        capsys.readouterr()
+        assert main(["--shards", "2", "--db", db] + NTT_ARGS) == 0
+        assert "via database" in capsys.readouterr().out
         assert main(["--shards", "2", "--warmup", "--db", db]) == 0
         out = capsys.readouterr().out
-        assert out.count("warmup     shard") == 2
+        assert out.count("warmup: ") == 1
+        assert "warmup: 1/1 records warmed" in out
 
     def test_nonpositive_shards_rejected(self, capsys):
         assert main(["--shards", "0", "--demo", "4"]) == 2

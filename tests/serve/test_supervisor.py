@@ -2,10 +2,11 @@
 
 The acceptance property of the sharded tier lives here: requests for many
 kernel families are served across two real shard processes, repeats are
-answered warm *by the owning shard*, per-shard tuning-db replicas are
-reconciled into the primary on close, and stats aggregate across the wire.
-These tests spawn OS processes and are the slowest in the suite — one
-module-scoped cluster serves all the read-mostly tests.
+answered warm *by the owning shard*, every local shard reads and saves one
+tuning-database file, warm-up and refresh run once per record across the
+cluster, and stats aggregate across the wire.  These tests spawn OS
+processes and are the slowest in the suite — one module-scoped cluster
+serves all the read-mostly tests.
 """
 
 import dataclasses
@@ -16,10 +17,17 @@ import time
 import pytest
 
 import repro.serve.supervisor as supervisor_module
-from repro.errors import ReproError, ServingError
-from repro.serve import ClusterStats, ServedNTT, ServeRequest, ShardSupervisor
+from repro.errors import ReproError, ServingError, TuningError
+from repro.serve import (
+    ClusterStats,
+    KernelServer,
+    ServedNTT,
+    ServeRequest,
+    ShardSupervisor,
+)
 from repro.serve import protocol
-from repro.tune import TuningDatabase, replica_path
+from repro.tenancy import DEFAULT_TENANT, TenantConfig
+from repro.tune import TUNER_VERSION, TuningDatabase
 
 SIZE = 16
 
@@ -127,6 +135,13 @@ class TestErrorRelay:
         with pytest.raises(ReproError):
             supervisor.serve(ServeRequest(kind="ntt", bits=128, size=3))
 
+    def test_unserved_device_is_refused_by_name(self, cluster):
+        supervisor, _, _ = cluster
+        routed = supervisor.routed_counts()
+        with pytest.raises(ServingError, match="'h100'"):
+            supervisor.submit(ServeRequest(kind="ntt", bits=128, size=SIZE, device="h100"))
+        assert supervisor.routed_counts() == routed
+
 
 class TestClientHook:
     def test_served_ntt_round_trips_through_the_cluster(self, cluster):
@@ -162,27 +177,11 @@ class TestLifecycle:
         with pytest.raises(ServingError, match="closed"):
             supervisor.submit(ServeRequest(kind="ntt", bits=128, size=SIZE))
 
-    def test_close_reconciles_replicas_into_primary(self, tmp_path):
-        db = tmp_path / "tuning.json"
-        supervisor = ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2)
-        try:
-            for request in FAMILY_MIX[:4]:
-                supervisor.serve(request)
-        finally:
-            report = supervisor.close()
-        assert report is not None
-        assert db.exists()
-        primary = TuningDatabase(db)
-        assert len(primary) >= 4  # winners from *both* shards survived
-        assert sum(report.adopted) >= 4
-
     def test_validation(self):
         with pytest.raises(ServingError, match="shard count"):
             ShardSupervisor(shards=0)
         with pytest.raises(ServingError, match="device"):
             ShardSupervisor(shards=1, devices=())
-        with pytest.raises(ServingError, match="partition"):
-            ShardSupervisor(shards=2, devices=("rtx4090",), partition_devices=True)
 
 
 class TestRobustness:
@@ -239,20 +238,85 @@ class TestRobustness:
             assert supervisor.serve(request).request == request
         assert not marker.exists()
 
-    def test_corrupt_replica_is_quarantined_not_crash_looped(self, tmp_path):
-        # A torn replica file (crashed writer) must not make the shard die
-        # at startup forever: it is renamed *.corrupt and serving proceeds.
+
+def _tune_into(db_path, requests):
+    """Tune each request's family once in one process, saving to ``db_path``."""
+    with KernelServer(db=TuningDatabase(db_path), devices=("rtx4090",), workers=2) as server:
+        for request in requests:
+            server.serve(request)
+
+
+class TestSharedDatabase:
+    def test_winner_in_the_file_is_served_without_a_search(self, tmp_path):
         db = tmp_path / "tuning.json"
-        replica = replica_path(db, 0)
-        replica.write_text("{torn json")
-        supervisor = ShardSupervisor(shards=1, db=db, devices=("rtx4090",), workers=1)
+        _tune_into(db, FAMILY_MIX[:1])
+        with ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2) as supervisor:
+            result = supervisor.serve(FAMILY_MIX[0])
+        assert not result.warm
+        assert result.from_database
+        assert result.tuning.evaluations == 0
+
+    def test_shards_save_every_winner_into_the_one_file(self, tmp_path):
+        db = tmp_path / "tuning.json"
+        supervisor = ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2)
         try:
-            result = supervisor.serve(ServeRequest(kind="ntt", bits=128, size=SIZE))
-            assert result.artifact is not None
-            assert replica.with_name(replica.name + ".corrupt").exists()
-            assert supervisor._handles[0].restarts == 0
+            for request in FAMILY_MIX:
+                supervisor.serve(request)
+            assert set(supervisor.routed_counts()) == {0, 1}
         finally:
             supervisor.close()
+        saved = {record.workload_key for record in TuningDatabase(db).records().values()}
+        assert saved == {request.workload().key for request in FAMILY_MIX}
+        # The file and its lock are all there is: no per-shard files.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "tuning.json",
+            "tuning.json.lock",
+        ]
+
+    def test_unreadable_file_fails_before_any_shard_starts(self, tmp_path, monkeypatch):
+        db = tmp_path / "tuning.json"
+        db.write_text("{torn json")
+        monkeypatch.setattr(
+            ShardSupervisor, "_spawn", lambda *args: pytest.fail("a shard was spawned")
+        )
+        with pytest.raises(TuningError, match="cannot read"):
+            ShardSupervisor(shards=2, db=db, devices=("rtx4090",))
+
+    def test_warmup_compiles_each_record_once_across_the_cluster(self, tmp_path):
+        db = tmp_path / "tuning.json"
+        requests = FAMILY_MIX[:4]
+        _tune_into(db, requests)
+        # An in-flight cap of one would refuse all but one of the warm-up's
+        # concurrent serves, were they admitted like traffic.
+        quota = TenantConfig(tenant=DEFAULT_TENANT, max_in_flight=1)
+        with ShardSupervisor(
+            shards=2, db=db, devices=("rtx4090",), workers=2, tenants=(quota,)
+        ) as supervisor:
+            report = supervisor.warmup()
+            assert (report.warmed, report.errors) == (len(requests), 0)
+            assert supervisor.tenants.rejected(DEFAULT_TENANT) == 0
+            assert supervisor.stats().cold_serves == len(requests)
+            assert all(supervisor.serve(request).warm for request in requests)
+
+    def test_refresh_retunes_each_stale_family_once_across_the_cluster(self, tmp_path):
+        db = tmp_path / "tuning.json"
+        requests = FAMILY_MIX[:3]
+        _tune_into(db, requests)
+        aged = TuningDatabase(db)
+        for key, record in aged.records().items():
+            aged.remove(key, save=False)
+            aged.store(dataclasses.replace(record, tuner_version=0), save=False)
+        aged.save()
+        with ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2) as supervisor:
+            reports = supervisor.invalidate(refresh=True)
+            stats = supervisor.stats()
+        assert all(report["stale"] == len(requests) for report in reports.values())
+        refreshed = [key for report in reports.values() for key in report["refreshed"]]
+        assert sorted(refreshed) == sorted(request.workload().key for request in requests)
+        assert (stats.batched_tunes, stats.cold_serves) == (len(requests), len(requests))
+        keys = TuningDatabase(db).records()
+        assert len(keys) == len(requests)
+        assert all(key.endswith(f"::v{TUNER_VERSION}") for key in keys)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX SIGSTOP")
@@ -325,30 +389,3 @@ class TestRestartBackoff:
         finally:
             supervisor.close()
 
-
-class TestQuarantineAging:
-    def test_close_drops_aged_quarantine_files(self, tmp_path, monkeypatch, caplog):
-        # Quarantined replicas (*.corrupt) must not accumulate forever: a
-        # supervisor close() ages them out and logs what it dropped.
-        import logging
-
-        import repro.tune.reconcile as reconcile_module
-
-        monkeypatch.setattr(reconcile_module, "QUARANTINE_RETENTION_S", 0.0)
-        db = tmp_path / "tuning.json"
-        stale = replica_path(db, 7).with_name(replica_path(db, 7).name + ".corrupt")
-        stale.write_text("{torn json")
-        supervisor = ShardSupervisor(shards=1, db=db, devices=("rtx4090",), workers=1)
-        with caplog.at_level(logging.INFO, logger="repro.serve"):
-            supervisor.close()
-        assert not stale.exists()
-        assert any("quarantined replica" in record.message for record in caplog.records)
-
-    def test_close_keeps_fresh_quarantine_files(self, tmp_path):
-        # Inside the retention window the post-mortem evidence survives.
-        db = tmp_path / "tuning.json"
-        fresh = replica_path(db, 3).with_name(replica_path(db, 3).name + ".corrupt")
-        fresh.write_text("{torn json")
-        supervisor = ShardSupervisor(shards=1, db=db, devices=("rtx4090",), workers=1)
-        supervisor.close()
-        assert fresh.exists()

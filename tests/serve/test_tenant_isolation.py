@@ -82,17 +82,15 @@ class TestWireTenantField:
     def test_control_messages_round_trip(self):
         call = round_trip(
             protocol.ControlCall(
-                request_id=3,
-                action=protocol.CONTROL_INVALIDATE,
-                tenant="acme",
-                refresh=True,
+                request_id=3, action=protocol.CONTROL_INVALIDATE, tenant="acme"
             )
         )
-        assert (call.action, call.tenant, call.refresh) == (
-            protocol.CONTROL_INVALIDATE,
-            "acme",
-            True,
-        )
+        assert (call.action, call.tenant) == (protocol.CONTROL_INVALIDATE, "acme")
+        # Warm-up is routed serving now, not a control action.
+        head, _ = split_container(protocol.encode_message(call))
+        head["payload"]["action"] = "warmup"
+        with pytest.raises(ProtocolError, match="unknown control action"):
+            protocol.decode_message(join_container(head))
         reply = round_trip(
             protocol.ControlReply(request_id=3, report={"kind": "invalidation"})
         )

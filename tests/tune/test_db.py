@@ -1,6 +1,8 @@
 """Tests for the persistent tuning database (round trips, atomicity, counters)."""
 
+import dataclasses
 import json
+import multiprocessing
 import sys
 import threading
 
@@ -190,3 +192,68 @@ class TestConcurrentSaves:
                 assert len(TuningDatabase(path)) == len(records), f"trial {trial}"
         finally:
             sys.setswitchinterval(previous)
+
+
+class TestMergeOnSave:
+    """Two instances over one file: the merge rules every save applies."""
+
+    @pytest.mark.parametrize("last", ["older", "newer"])
+    def test_newer_record_wins_whichever_saves_last(self, tmp_path, workload, last):
+        path = tmp_path / "tuning.json"
+        record = make_record(workload)
+        versions = {
+            "older": dataclasses.replace(record, created_at=100.0, strategy="random"),
+            "newer": dataclasses.replace(record, created_at=200.0, strategy="hillclimb"),
+        }
+        writers = {name: TuningDatabase(path) for name in versions}
+        for name, version in versions.items():
+            writers[name].store(version, save=False)
+        first = "newer" if last == "older" else "older"
+        writers[first].save()
+        writers[last].save()
+        assert TuningDatabase(path).lookup(workload, "rtx4090").strategy == "hillclimb"
+
+    def test_strictly_newer_retune_beats_an_older_tombstone(self, tmp_path, workload):
+        path = tmp_path / "tuning.json"
+        tuner = TuningDatabase(path)
+        record = tuner.store(make_record(workload))
+        dropper = TuningDatabase(path)
+        dropper.remove(record.key())  # the tombstone is stamped now
+        retune = dataclasses.replace(
+            record, created_at=TuningDatabase.timestamp() + 1.0, strategy="hillclimb"
+        )
+        tuner.store(retune)
+        dropper.save()  # the dropper's older tombstone must not win either
+        assert TuningDatabase(path).lookup(workload, "rtx4090") == retune
+
+
+def _store_many(path, writer, saves, start) -> None:
+    """Store ``saves`` distinct records into ``path``, one instance per save."""
+    start.wait(timeout=60)
+    record = make_record(Workload(kind="ntt", bits=64, size=16))
+    for index in range(saves):
+        TuningDatabase(path).store(
+            dataclasses.replace(record, fingerprint=f"writer{writer}-save{index}")
+        )
+
+
+class TestCrossProcessSaves:
+    def test_spawned_writers_keep_every_record(self, tmp_path):
+        # Local shards are separate processes saving into one file, so the
+        # file lock must hold between processes, not only between threads.
+        writers, saves = 4, 40
+        path = tmp_path / "tuning.json"
+        context = multiprocessing.get_context("spawn")
+        start = context.Event()
+        processes = [
+            context.Process(target=_store_many, args=(path, writer, saves, start))
+            for writer in range(writers)
+        ]
+        for process in processes:
+            process.start()
+        start.set()
+        for process in processes:
+            process.join(timeout=120)
+        assert not any(process.is_alive() for process in processes)
+        assert [process.exitcode for process in processes] == [0] * writers
+        assert len(TuningDatabase(path)) == writers * saves

@@ -19,11 +19,11 @@ Usage::
     python tools/migrate_tuning_db.py --tenant acme tuning_db.json
 
     # CI guard: exit 1 if any named file still needs migrating
-    python tools/migrate_tuning_db.py --check tuning_db.json replicas/*.json
+    python tools/migrate_tuning_db.py --check tuning_db.json listener-*.json
 
-Replica files written by shard processes use the same schema, so the same
-invocation migrates them.  The rewrite is read-validate-replace: a file
-that fails record validation is reported and left untouched.
+A TCP shard listener's own ``--db`` file uses the same schema, so the same
+invocation migrates it.  The rewrite is read-validate-replace: a file that
+fails record validation is reported and left untouched.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ def migrate_file(path: Path, tenant: str, check: bool) -> tuple[int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Rewrite pre-tenant tuning database/replica files with "
+        description="Rewrite pre-tenant tuning database files with "
         "explicit tenant namespaces (atomic, validate-before-write)."
     )
     parser.add_argument(
-        "paths", nargs="+", metavar="DB", help="database or replica files"
+        "paths", nargs="+", metavar="DB", help="tuning database files"
     )
     parser.add_argument(
         "--tenant",
