@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ServingError
 from repro.serve import ServeRequest
-from repro.serve.shard import ShardRouter
+from repro.serve.shard import VIRTUAL_NODES, ShardRouter
 
 #: Synthetic routing keys standing in for (fingerprint, device) pairs.
 KEYS = [f"family-{index:04x}::rtx4090" for index in range(512)]
@@ -67,6 +67,20 @@ class TestSpread:
         # With 64 virtual nodes per shard the split is rough but never
         # degenerate: no shard should own more than half of 512 keys.
         assert max(counts.values()) < len(KEYS) / 2
+
+    def test_single_shard_owns_every_key(self):
+        router = ShardRouter([0])
+        assert {router.route_key(key) for key in KEYS} == {0}
+        assert router.route(ServeRequest(kind="blas", bits=128, operation="vmul")) == 0
+
+    def test_each_shard_places_the_same_number_of_virtual_nodes(self):
+        router = ShardRouter(range(3))
+        owners = [shard_id for _, shard_id in router._ring]
+        assert {shard_id: owners.count(shard_id) for shard_id in range(3)} == {
+            shard_id: VIRTUAL_NODES for shard_id in range(3)
+        }
+        router.remove_shard(1)
+        assert len(router._ring) == 2 * VIRTUAL_NODES
 
 
 class TestRebalance:

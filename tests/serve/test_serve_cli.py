@@ -109,6 +109,14 @@ class TestShardMode:
         assert out.count("warmup: ") == 1
         assert "warmup: 1/1 records warmed" in out
 
+    def test_unreadable_db_fails_before_serving(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        db.write_text("{torn json")
+        assert main(["--shards", "2", "--db", str(db), "--demo", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "cannot read tuning database" in captured.err
+        assert "demo" not in captured.out
+
     def test_nonpositive_shards_rejected(self, capsys):
         assert main(["--shards", "0", "--demo", "4"]) == 2
         assert "shard count" in capsys.readouterr().err
@@ -122,6 +130,16 @@ class TestTcpFlags:
     def test_listen_with_unparsable_port_rejected(self, capsys):
         assert main(["--listen", "127.0.0.1:notaport"]) == 2
         assert "[host:]port" in capsys.readouterr().err
+
+    def test_listen_with_unreadable_db_fails_before_listening(self, tmp_path, capsys):
+        # A listener keeps its own --db; a torn one is an error, not a
+        # listener that starts over an empty database.
+        db = tmp_path / "shard0.json"
+        db.write_text("{torn json")
+        assert main(["--listen", "127.0.0.1:0", "--db", str(db)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot read tuning database" in captured.err
+        assert "listening on" not in captured.out
 
     def test_connect_to_unreachable_shard_fails_cleanly(self, capsys):
         # A dead remote must surface as a CLI error, not a traceback.

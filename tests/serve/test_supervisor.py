@@ -318,6 +318,66 @@ class TestSharedDatabase:
         assert len(keys) == len(requests)
         assert all(key.endswith(f"::v{TUNER_VERSION}") for key in keys)
 
+    def test_warmup_of_a_warm_cluster_compiles_nothing(self, cluster):
+        # Every record in the module cluster's file was tuned by the shard
+        # that owns its family, so warm-up routes each one back there warm.
+        supervisor, _, db = cluster
+        before = supervisor.stats()
+        report = supervisor.warmup()
+        after = supervisor.stats()
+        assert report.warmed == len(TuningDatabase(db)) >= len(FAMILY_MIX)
+        assert report.errors == 0
+        assert after.cold_serves == before.cold_serves
+        assert after.warm_serves == before.warm_serves + report.warmed
+
+    def test_refresh_with_nothing_stale_retunes_nothing(self, cluster):
+        supervisor, _, db = cluster
+        records = TuningDatabase(db).records()
+        tunes = supervisor.stats().batched_tunes
+        reports = supervisor.invalidate(refresh=True)
+        assert set(reports) == {0, 1}
+        for report in reports.values():
+            assert (report["stale"], report["refreshed"]) == (0, [])
+        assert supervisor.stats().batched_tunes == tunes
+        assert TuningDatabase(db).records() == records
+
+    def test_tenant_scoped_warmup_warms_only_that_namespace(self, tmp_path):
+        db = tmp_path / "tuning.json"
+        with KernelServer(db=TuningDatabase(db), devices=("rtx4090",), workers=2) as server:
+            server.serve(FAMILY_MIX[0], tenant="acme")
+            server.serve(FAMILY_MIX[1])
+        with ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2) as supervisor:
+            report = supervisor.warmup(tenant="acme")
+            assert (report.warmed, report.skipped_other_tenant) == (1, 1)
+            assert supervisor.stats().cold_serves == 1
+            assert supervisor.serve(FAMILY_MIX[0], tenant="acme").warm
+            assert not supervisor.serve(FAMILY_MIX[1]).warm
+
+    def test_without_a_file_warmup_and_refresh_find_no_records(self):
+        with ShardSupervisor(shards=1, devices=("rtx4090",), workers=1) as supervisor:
+            report = supervisor.warmup()
+            reports = supervisor.invalidate(refresh=True)
+            stats = supervisor.stats()
+        assert report.entries == ()
+        assert reports[0]["refreshed"] == []
+        assert (stats.requests, stats.batched_tunes) == (0, 0)
+
+
+class TestDevices:
+    def test_every_shard_serves_every_device(self):
+        devices = ("rtx4090", "h100")
+        with ShardSupervisor(shards=2, devices=devices, workers=2) as supervisor:
+            # One family per (owning shard, device) pair.
+            picks = {}
+            for request in FAMILY_MIX:
+                for device in devices:
+                    routed = dataclasses.replace(request, device=device)
+                    picks.setdefault((supervisor.router.route(routed), device), routed)
+            assert set(picks) == {(shard, device) for shard in (0, 1) for device in devices}
+            for request in picks.values():
+                assert supervisor.serve(request).request == request
+            assert supervisor.routed_counts() == {0: 2, 1: 2}
+
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX SIGSTOP")
 class TestLiveness:

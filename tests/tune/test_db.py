@@ -226,6 +226,35 @@ class TestMergeOnSave:
         dropper.save()  # the dropper's older tombstone must not win either
         assert TuningDatabase(path).lookup(workload, "rtx4090") == retune
 
+    @pytest.mark.parametrize("last", ["holder", "dropper"])
+    def test_tombstone_beats_an_older_record_whichever_saves_last(
+        self, tmp_path, workload, last
+    ):
+        path = tmp_path / "tuning.json"
+        holder = TuningDatabase(path)
+        record = holder.store(make_record(workload))
+        dropper = TuningDatabase(path)
+        dropper.remove(record.key(), save=False)  # stamped now, after created_at
+        writers = {"holder": holder, "dropper": dropper}
+        first = "dropper" if last == "holder" else "holder"
+        writers[first].save()
+        writers[last].save()  # the holder still has the record in memory
+        assert record.key() not in json.loads(path.read_text())["records"]
+        assert TuningDatabase(path).lookup(workload, "rtx4090") is None
+
+    def test_tombstone_beats_a_record_created_at_its_stamp(
+        self, tmp_path, workload, monkeypatch
+    ):
+        # "At or before": a record no newer than the tombstone stays dropped.
+        path = tmp_path / "tuning.json"
+        monkeypatch.setattr(TuningDatabase, "timestamp", staticmethod(lambda: 500.0))
+        tuner = TuningDatabase(path)
+        record = tuner.store(dataclasses.replace(make_record(workload), created_at=100.0))
+        TuningDatabase(path).remove(record.key())
+        tuner.store(dataclasses.replace(record, created_at=500.0))
+        assert record.key() not in json.loads(path.read_text())["records"]
+        assert TuningDatabase(path).lookup(workload, "rtx4090") is None
+
 
 def _store_many(path, writer, saves, start) -> None:
     """Store ``saves`` distinct records into ``path``, one instance per save."""
