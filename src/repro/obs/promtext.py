@@ -175,6 +175,9 @@ _WIRE_COUNTERS = (
     ("decode_s", "wire_decode_seconds_total", "Wall time in reply decoding."),
     ("route_s", "wire_route_seconds_total", "Wall time in shard routing."),
     ("flush_s", "wire_flush_seconds_total", "Wall time in transport flushes."),
+    ("kernels_unpickled", "wire_kernels_unpickled_total", "Kernel frames unpickled."),
+    ("kernels_reused", "wire_kernels_reused_total", "Kernel frames reused, not unpickled."),
+    ("kernels_evicted", "wire_kernels_evicted_total", "Decoded kernels evicted."),
 )
 
 

@@ -264,6 +264,15 @@ class WireSnapshot:
         decode_s: wall time spent in ``decode_message`` on reply frames.
         route_s: wall time spent picking a shard in the router.
         flush_s: wall time spent writing/flushing batches to transports.
+        kernels_unpickled: executable-kernel frames unpickled on arrival.
+        kernels_reused: executable-kernel frames answered by the kernel
+            decoded earlier from identical bytes.
+        kernels_evicted: decoded kernels dropped from that memo for room.
+
+    The three ``kernels_*`` counts are read from the decode memo of
+    :mod:`repro.serve.protocol` when the snapshot is taken, and so cover
+    every trusted decode in the whole process, not this profile's links
+    alone.
     """
 
     messages_sent: int
@@ -275,6 +284,9 @@ class WireSnapshot:
     decode_s: float
     route_s: float
     flush_s: float
+    kernels_unpickled: int
+    kernels_reused: int
+    kernels_evicted: int
 
     @property
     def coalescing_ratio(self) -> float:
@@ -302,6 +314,9 @@ class WireSnapshot:
             decode_s=self.decode_s - since.decode_s,
             route_s=self.route_s - since.route_s,
             flush_s=self.flush_s - since.flush_s,
+            kernels_unpickled=self.kernels_unpickled - since.kernels_unpickled,
+            kernels_reused=self.kernels_reused - since.kernels_reused,
+            kernels_evicted=self.kernels_evicted - since.kernels_evicted,
         )
 
     def report(self) -> str:
@@ -314,7 +329,9 @@ class WireSnapshot:
             f"encode {self.encode_s * 1e3:.1f} ms, "
             f"decode {self.decode_s * 1e3:.1f} ms, "
             f"route {self.route_s * 1e3:.1f} ms, "
-            f"flush {self.flush_s * 1e3:.1f} ms)"
+            f"flush {self.flush_s * 1e3:.1f} ms; "
+            f"kernels {self.kernels_unpickled} unpickled, "
+            f"{self.kernels_reused} reused, {self.kernels_evicted} evicted)"
         )
 
 
@@ -324,9 +341,12 @@ class WireProfile:
     Dispatchers, sender threads, and reader threads all record into one
     instance; :meth:`snapshot` folds it into an immutable
     :class:`WireSnapshot` for :class:`~repro.serve.ClusterStats`.
+    ``kernel_memo``, when given, returns the decode memo's
+    :class:`~repro.core.driver.cache.CacheStats`, read at each snapshot.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, kernel_memo=None) -> None:
+        self._kernel_memo = kernel_memo
         self._lock = threading.Lock()
         self._messages_sent = 0
         self._messages_received = 0
@@ -361,6 +381,7 @@ class WireProfile:
 
     def snapshot(self) -> WireSnapshot:
         """Fold the counters into an immutable snapshot."""
+        memo = self._kernel_memo() if self._kernel_memo is not None else None
         with self._lock:
             return WireSnapshot(
                 messages_sent=self._messages_sent,
@@ -372,6 +393,9 @@ class WireProfile:
                 decode_s=self._decode_s,
                 route_s=self._route_s,
                 flush_s=self._flush_s,
+                kernels_unpickled=memo.misses if memo else 0,
+                kernels_reused=memo.hits if memo else 0,
+                kernels_evicted=memo.evictions if memo else 0,
             )
 
 

@@ -45,7 +45,11 @@ forms (:func:`encode_artifact` / :func:`decode_artifact`): ``"source"``
 (backend source text, the ``cuda`` / ``c99`` targets) or
 ``"pickled_kernel"`` (an executable ``python_exec``
 :class:`~repro.core.codegen.python_exec.CompiledKernel`; the callable is
-re-exec'd from its source on arrival).
+re-exec'd from its source on arrival).  Both ends do the pickle work once
+per kernel, not once per reply: a live kernel object is pickled once and
+its bytes reused, and a trusted decode keeps the last
+:data:`DECODED_KERNELS` distinct frames' kernels, so a warm reply whose
+frame was seen before is a lookup, not an unpickle.
 
 Unpickling executes code, so ``decode_artifact`` only accepts
 ``"pickled_kernel"`` payloads when the caller passes ``allow_pickled=True``
@@ -70,11 +74,13 @@ import io
 import json
 import pickle
 import socket
+import weakref
 from dataclasses import dataclass
 
 from repro import errors
 from repro.errors import ProtocolError
 from repro.core.codegen.python_exec import CompiledKernel
+from repro.core.driver.cache import CacheStats, ContentAddressedCache
 from repro.kernels.config import KernelConfig
 from repro.tenancy import DEFAULT_TENANT, validate_tenant
 from repro.tune.space import Candidate, Workload
@@ -105,6 +111,7 @@ __all__ = [
     "negotiate_trust",
     "encode_artifact",
     "decode_artifact",
+    "decoded_kernel_stats",
     "source_only_result",
     "encode_message",
     "decode_message",
@@ -164,6 +171,57 @@ def negotiate_trust(requested: str, policy: str) -> str:
 SOURCE_ENCODING = "source"
 PICKLED_KERNEL_ENCODING = "pickled_kernel"
 
+#: Executable kernels kept by :func:`decode_artifact`, each under the exact
+#: frame it was unpickled from (least recently used evicted first).
+DECODED_KERNELS = 32
+
+# The pickle of each live executable kernel, by its id: a resident kernel
+# served again is not pickled again.  The weak reference drops the entry
+# with the kernel, whose id may then be reused; concurrent first encodes of
+# one kernel at worst pickle it twice.
+_PICKLED: dict[int, tuple[weakref.ref, bytes]] = {}
+
+# Executable kernels decoded on trusted links, by frame bytes: an identical
+# frame returns the kernel decoded earlier, without an unpickle or an exec.
+_DECODED = ContentAddressedCache(DECODED_KERNELS)
+
+
+def _pickled(kernel: CompiledKernel) -> bytes:
+    key = id(kernel)
+    entry = _PICKLED.get(key)
+    if entry is not None and entry[0]() is kernel:
+        return entry[1]
+    data = pickle.dumps(kernel)
+    alive = weakref.ref(kernel, lambda _, key=key: _PICKLED.pop(key, None))
+    _PICKLED[key] = (alive, data)
+    return data
+
+
+def _unpickled(body) -> CompiledKernel:
+    # Hashing a memoryview compares byte by byte; a bytes copy hashes at
+    # memory speed, and is the key kept.
+    frame = bytes(body)
+    kernel = _DECODED.get(frame)
+    if kernel is not None:
+        return kernel
+    try:
+        kernel = pickle.loads(frame)
+    except Exception as error:  # noqa: BLE001 - any unpickle failure is protocol-level
+        raise ProtocolError(f"corrupt pickled kernel artifact: {error}") from None
+    if not isinstance(kernel, CompiledKernel):
+        raise ProtocolError(
+            f"pickled artifact is a {type(kernel).__name__}, expected CompiledKernel"
+        )
+    _DECODED.put(frame, kernel)
+    return kernel
+
+
+def decoded_kernel_stats() -> CacheStats:
+    """Counters of this process's decoded-kernel memo: ``misses`` are the
+    frames unpickled, ``hits`` the frames answered by a kernel decoded
+    earlier, ``evictions`` the kernels dropped for room."""
+    return _DECODED.stats()
+
 
 def encode_artifact(artifact: object, frames: list) -> dict:
     """One served artifact in its wire form.
@@ -171,12 +229,14 @@ def encode_artifact(artifact: object, frames: list) -> dict:
     The body goes **out of band**: its raw bytes — UTF-8 source, or the
     pickle of an executable kernel — are appended to ``frames`` and the
     returned ``{"encoding", "frame"}`` pair references that frame by index.
+    An executable kernel is pickled once while it lives; later encodes of
+    the same object reuse those bytes.
     """
     if isinstance(artifact, str):
         frames.append(artifact.encode("utf-8"))
         return {"encoding": SOURCE_ENCODING, "frame": len(frames) - 1}
     if isinstance(artifact, CompiledKernel):
-        frames.append(pickle.dumps(artifact))
+        frames.append(_pickled(artifact))
         return {"encoding": PICKLED_KERNEL_ENCODING, "frame": len(frames) - 1}
     raise ProtocolError(
         f"cannot encode artifact of type {type(artifact).__name__} for the wire"
@@ -188,7 +248,10 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> ob
 
     ``allow_pickled`` gates the ``pickled_kernel`` encoding: unpickling
     executes code, so it must only be enabled on links whose handshake
-    granted :data:`TRUST_PICKLED`.
+    granted :data:`TRUST_PICKLED`.  That check comes first; only then is
+    the frame looked up among the last :data:`DECODED_KERNELS` distinct
+    frames decoded, and an identical one returns the same kernel object.
+    A frame that fails to unpickle to a kernel is never kept.
     """
     if not isinstance(payload, dict) or "encoding" not in payload or "frame" not in payload:
         raise ProtocolError(f"malformed artifact payload: {payload!r}")
@@ -210,16 +273,7 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> ob
                 "refusing to unpickle a kernel artifact from an untrusted "
                 "transport (only links granted pickled trust may)"
             )
-        try:
-            artifact = pickle.loads(body)
-        except Exception as error:  # noqa: BLE001 - any unpickle failure is protocol-level
-            raise ProtocolError(f"corrupt pickled kernel artifact: {error}") from None
-        if not isinstance(artifact, CompiledKernel):
-            raise ProtocolError(
-                f"pickled artifact is a {type(artifact).__name__}, "
-                f"expected CompiledKernel"
-            )
-        return artifact
+        return _unpickled(body)
     raise ProtocolError(f"unknown artifact encoding {encoding!r}")
 
 

@@ -461,7 +461,7 @@ class ShardSupervisor:
         self._pool = pool
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
-        self._wire = WireProfile()
+        self._wire = WireProfile(protocol.decoded_kernel_stats)
         self._context = _spawn_context()
         self._closed = False
         self._stopping = threading.Event()  # wakes the monitor on close()

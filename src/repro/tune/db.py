@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -188,6 +189,10 @@ class TuningDatabase:
         # resurrected by another process's later save — unless that process
         # stores a strictly newer record under the key (a re-tune wins).
         self._dropped: dict[str, float] = {}
+        # (st_ino, st_mtime_ns, st_size) of the file as this instance last
+        # read or wrote it: a lookup miss re-reads the file only when that
+        # changed (every save replaces the file, so it gets a new inode).
+        self._seen: tuple[int, int, int] | None = None
         self._lock = threading.RLock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -226,7 +231,15 @@ class TuningDatabase:
     def _parse_file(self) -> tuple[dict[str, TuningRecord], dict[str, float]]:
         return self.parse_file(self.path)
 
+    def _identity(self) -> tuple[int, int, int] | None:
+        try:
+            info = os.stat(self.path)
+        except OSError:
+            return None
+        return (info.st_ino, info.st_mtime_ns, info.st_size)
+
     def _load(self) -> None:
+        self._seen = self._identity()
         records, dropped = self._parse_file()
         self._dropped.update(dropped)
         for key, record in records.items():
@@ -254,16 +267,32 @@ class TuningDatabase:
         inherits the shared winner until its own tuning run stores a
         tenant-scoped record (which then shadows the shared one).  A
         fallback hit counts as a hit.
+
+        On a miss in a file-backed database whose file changed since this
+        instance last read or wrote it (another process saved a winner),
+        the file is merged in, as a save would, and the lookup runs again.
+        An unchanged file costs one ``os.stat``.
         """
+        keys = [self._key(workload, device_name, tenant)]
+        if tenant != DEFAULT_TENANT:
+            keys.append(self._key(workload, device_name))
         with self._lock:
-            record = self._records.get(self._key(workload, device_name, tenant))
-            if record is None and tenant != DEFAULT_TENANT:
-                record = self._records.get(self._key(workload, device_name))
+            record = self._find(keys)
+            if record is None and self.path is not None and self._identity() != self._seen:
+                self._merge_from_disk()
+                record = self._find(keys)
             if record is None:
                 self._misses += 1
                 return None
             self._hits += 1
             return record
+
+    def _find(self, keys: list[str]) -> TuningRecord | None:
+        for key in keys:
+            record = self._records.get(key)
+            if record is not None:
+                return record
+        return None
 
     def store(self, record: TuningRecord, save: bool = True) -> TuningRecord:
         """Remember a winner (and persist the database when file-backed)."""
@@ -326,7 +355,8 @@ class TuningDatabase:
         # record and tombstone we do not have (or have an older version of).
         # A corrupt or foreign on-disk file is ignored: our snapshot then
         # simply replaces it.
-        if not self.path.exists():
+        self._seen = self._identity()
+        if self._seen is None:
             return
         try:
             on_disk, dropped = self._parse_file()
@@ -360,6 +390,7 @@ class TuningDatabase:
             replace_atomically(
                 self.path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
             )
+            self._seen = self._identity()
 
     @staticmethod
     def timestamp() -> float:

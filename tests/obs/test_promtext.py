@@ -10,6 +10,7 @@ duck-typed so ``repro.obs`` never imports the serve layer).
 """
 
 import re
+from types import SimpleNamespace
 
 from repro.obs.promtext import (
     render_cluster_metrics,
@@ -166,7 +167,7 @@ class TestClusterExposition:
         assert cold_count.endswith(" 1")
 
     def test_wire_counters_render_when_present(self):
-        profile = WireProfile()
+        profile = WireProfile(lambda: SimpleNamespace(misses=2, hits=19, evictions=1))
         profile.record_send(100, 0.001, route_s=0.0005)
         profile.record_receive(250, 0.002)
         profile.record_flush(0.0001)
@@ -174,6 +175,9 @@ class TestClusterExposition:
         assert_parseable(text)
         assert "repro_wire_messages_sent_total 1" in text
         assert "repro_wire_bytes_received_total 250" in text
+        assert "repro_wire_kernels_unpickled_total 2" in text
+        assert "repro_wire_kernels_reused_total 19" in text
+        assert "repro_wire_kernels_evicted_total 1" in text
 
     def test_wire_section_absent_without_a_profile(self):
         text = render_cluster_metrics(self.make_stats())

@@ -150,7 +150,8 @@ class TestWireSnapshotDelta:
     """
 
     def test_delta_isolates_the_window_between_snapshots(self):
-        profile = WireProfile()
+        memo = SimpleNamespace(misses=1, hits=2, evictions=0)
+        profile = WireProfile(lambda: memo)
         profile.record_send(100, 0.001, route_s=0.0005)
         profile.record_flush(0.0002)
         before = profile.snapshot()
@@ -158,6 +159,7 @@ class TestWireSnapshotDelta:
         profile.record_send(40, 0.002, route_s=0.0001)
         profile.record_receive(300, 0.003)
         profile.record_flush(0.0004)
+        memo.misses, memo.hits, memo.evictions = 3, 21, 1
         window = profile.snapshot().delta(before)
 
         assert window.messages_sent == 1
@@ -169,6 +171,9 @@ class TestWireSnapshotDelta:
         assert window.decode_s == pytest.approx(0.003)
         assert window.route_s == pytest.approx(0.0001)
         assert window.flush_s == pytest.approx(0.0004)
+        kernels = (window.kernels_unpickled, window.kernels_reused, window.kernels_evicted)
+        assert kernels == (2, 19, 1)
+        assert window.report().endswith("kernels 2 unpickled, 19 reused, 1 evicted)")
 
     def test_idle_window_is_zero_for_every_field(self):
         profile = WireProfile()

@@ -273,6 +273,30 @@ class TestSharedDatabase:
             "tuning.json.lock",
         ]
 
+    def test_ring_successor_serves_a_winner_saved_after_it_started(self, tmp_path):
+        db = tmp_path / "tuning.json"
+        request = ServeRequest(kind="ntt", bits=128, size=SIZE)
+        with ShardSupervisor(
+            shards=2, db=db, devices=("rtx4090",), workers=2, restart=False
+        ) as supervisor:
+            assert not supervisor.serve(request).from_database  # tuned by its owner
+            # The owner saves its tuning batch after resolving it, so the
+            # reply can arrive before the winner is in the file.
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and not (db.exists() and len(TuningDatabase(db))):
+                time.sleep(0.05)
+            assert len(TuningDatabase(db)) == 1
+            owner = supervisor.router.route(request)
+            supervisor._handles[owner].process.kill()
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and owner in supervisor.router.shard_ids:
+                time.sleep(0.05)
+            assert owner not in supervisor.router.shard_ids
+            result = supervisor.serve(request)
+        assert not result.warm
+        assert result.from_database
+        assert result.tuning.evaluations == 0
+
     def test_unreadable_file_fails_before_any_shard_starts(self, tmp_path, monkeypatch):
         db = tmp_path / "tuning.json"
         db.write_text("{torn json")
