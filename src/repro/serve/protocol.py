@@ -198,8 +198,8 @@ def _pickled(kernel: CompiledKernel) -> bytes:
 
 
 def _unpickled(body) -> CompiledKernel:
-    # Hashing a memoryview compares byte by byte; a bytes copy hashes at
-    # memory speed, and is the key kept.
+    # Memoryviews compare item by item, and a hit compares the whole frame;
+    # a bytes copy hashes and compares at memory speed, and is the key kept.
     frame = bytes(body)
     kernel = _DECODED.get(frame)
     if kernel is not None:
