@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -189,10 +188,6 @@ class TuningDatabase:
         # resurrected by another process's later save — unless that process
         # stores a strictly newer record under the key (a re-tune wins).
         self._dropped: dict[str, float] = {}
-        # (st_ino, st_mtime_ns, st_size) of the file as this instance last
-        # read or wrote it: a lookup miss re-reads the file only when that
-        # changed (every save replaces the file, so it gets a new inode).
-        self._seen: tuple[int, int, int] | None = None
         self._lock = threading.RLock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -231,15 +226,7 @@ class TuningDatabase:
     def _parse_file(self) -> tuple[dict[str, TuningRecord], dict[str, float]]:
         return self.parse_file(self.path)
 
-    def _identity(self) -> tuple[int, int, int] | None:
-        try:
-            info = os.stat(self.path)
-        except OSError:
-            return None
-        return (info.st_ino, info.st_mtime_ns, info.st_size)
-
     def _load(self) -> None:
-        self._seen = self._identity()
         records, dropped = self._parse_file()
         self._dropped.update(dropped)
         for key, record in records.items():
@@ -268,17 +255,18 @@ class TuningDatabase:
         tenant-scoped record (which then shadows the shared one).  A
         fallback hit counts as a hit.
 
-        On a miss in a file-backed database whose file changed since this
-        instance last read or wrote it (another process saved a winner),
-        the file is merged in, as a save would, and the lookup runs again.
-        An unchanged file costs one ``os.stat``.
+        On a miss in a file-backed database the file is merged in, as a
+        save would, and the lookup runs again: a winner another process
+        saved after this instance loaded is found without a search.  The
+        parse this costs is small beside the search a miss leads to, whose
+        save parses the file again.
         """
         keys = [self._key(workload, device_name, tenant)]
         if tenant != DEFAULT_TENANT:
             keys.append(self._key(workload, device_name))
         with self._lock:
             record = self._find(keys)
-            if record is None and self.path is not None and self._identity() != self._seen:
+            if record is None and self.path is not None:
                 self._merge_from_disk()
                 record = self._find(keys)
             if record is None:
@@ -355,8 +343,7 @@ class TuningDatabase:
         # record and tombstone we do not have (or have an older version of).
         # A corrupt or foreign on-disk file is ignored: our snapshot then
         # simply replaces it.
-        self._seen = self._identity()
-        if self._seen is None:
+        if not self.path.exists():
             return
         try:
             on_disk, dropped = self._parse_file()
@@ -390,7 +377,6 @@ class TuningDatabase:
             replace_atomically(
                 self.path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
             )
-            self._seen = self._identity()
 
     @staticmethod
     def timestamp() -> float:
