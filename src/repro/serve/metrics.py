@@ -269,10 +269,11 @@ class WireSnapshot:
             decoded earlier from identical bytes.
         kernels_evicted: decoded kernels dropped from that memo for room.
 
-    The three ``kernels_*`` counts are read from the decode memo of
-    :mod:`repro.serve.protocol` when the snapshot is taken, and so cover
-    every trusted decode in the whole process, not this profile's links
-    alone.
+    :class:`WireProfile` leaves the three ``kernels_*`` counts at 0;
+    :meth:`~repro.serve.ShardSupervisor.wire_snapshot` reads them from the
+    decode memo of :mod:`repro.serve.protocol` when the snapshot is taken,
+    so they cover every trusted decode in the whole process, not one
+    supervisor's links alone.
     """
 
     messages_sent: int
@@ -341,12 +342,9 @@ class WireProfile:
     Dispatchers, sender threads, and reader threads all record into one
     instance; :meth:`snapshot` folds it into an immutable
     :class:`WireSnapshot` for :class:`~repro.serve.ClusterStats`.
-    ``kernel_memo``, when given, returns the decode memo's
-    :class:`~repro.core.driver.cache.CacheStats`, read at each snapshot.
     """
 
-    def __init__(self, kernel_memo=None) -> None:
-        self._kernel_memo = kernel_memo
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._messages_sent = 0
         self._messages_received = 0
@@ -381,7 +379,6 @@ class WireProfile:
 
     def snapshot(self) -> WireSnapshot:
         """Fold the counters into an immutable snapshot."""
-        memo = self._kernel_memo() if self._kernel_memo is not None else None
         with self._lock:
             return WireSnapshot(
                 messages_sent=self._messages_sent,
@@ -393,9 +390,9 @@ class WireProfile:
                 decode_s=self._decode_s,
                 route_s=self._route_s,
                 flush_s=self._flush_s,
-                kernels_unpickled=memo.misses if memo else 0,
-                kernels_reused=memo.hits if memo else 0,
-                kernels_evicted=memo.evictions if memo else 0,
+                kernels_unpickled=0,
+                kernels_reused=0,
+                kernels_evicted=0,
             )
 
 

@@ -64,7 +64,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -461,7 +461,7 @@ class ShardSupervisor:
         self._pool = pool
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
-        self._wire = WireProfile(protocol.decoded_kernel_stats)
+        self._wire = WireProfile()
         self._context = _spawn_context()
         self._closed = False
         self._stopping = threading.Event()  # wakes the monitor on close()
@@ -1122,7 +1122,7 @@ class ShardSupervisor:
         ]
         return aggregate_stats(
             tuple(reply.stats for reply in replies),
-            wire=self._wire.snapshot(),
+            wire=self.wire_snapshot(),
             admission=self.tenants.snapshot(),
         )
 
@@ -1192,8 +1192,15 @@ class ShardSupervisor:
         return reports
 
     def wire_snapshot(self) -> WireSnapshot:
-        """The supervisor-side wire-path profile without probing any shard."""
-        return self._wire.snapshot()
+        """The supervisor-side wire-path profile without probing any shard,
+        with the decoded-kernel counts of this process's decode memo."""
+        memo = protocol.decoded_kernel_stats()
+        return replace(
+            self._wire.snapshot(),
+            kernels_unpickled=memo.misses,
+            kernels_reused=memo.hits,
+            kernels_evicted=memo.evictions,
+        )
 
     def drain_spans(self, timeout: float = 10.0) -> tuple[tracing.Span, ...]:
         """Merge cluster-wide trace spans: this process plus every shard.

@@ -9,8 +9,8 @@ stats aggregated from real shard stats (the renderers are deliberately
 duck-typed so ``repro.obs`` never imports the serve layer).
 """
 
+import dataclasses
 import re
-from types import SimpleNamespace
 
 from repro.obs.promtext import (
     render_cluster_metrics,
@@ -167,11 +167,14 @@ class TestClusterExposition:
         assert cold_count.endswith(" 1")
 
     def test_wire_counters_render_when_present(self):
-        profile = WireProfile(lambda: SimpleNamespace(misses=2, hits=19, evictions=1))
+        profile = WireProfile()
         profile.record_send(100, 0.001, route_s=0.0005)
         profile.record_receive(250, 0.002)
         profile.record_flush(0.0001)
-        text = render_cluster_metrics(self.make_stats(wire=profile.snapshot()))
+        wire = dataclasses.replace(
+            profile.snapshot(), kernels_unpickled=2, kernels_reused=19, kernels_evicted=1
+        )
+        text = render_cluster_metrics(self.make_stats(wire=wire))
         assert_parseable(text)
         assert "repro_wire_messages_sent_total 1" in text
         assert "repro_wire_bytes_received_total 250" in text

@@ -239,8 +239,11 @@ class TestWarmReplies:
             before = supervisor.wire_snapshot()
             served = [supervisor.serve(CT) for _ in range(20)]
             window = supervisor.wire_snapshot().delta(before)
+            totals = supervisor.stats().wire
         assert all(result.warm for result in served)
         assert (window.kernels_unpickled, window.kernels_reused) == (1, 19)
         assert window.kernels_evicted == 0
+        counts = memo.stats()
+        assert (totals.kernels_unpickled, totals.kernels_reused) == (counts.misses, counts.hits)
         assert all(result.artifact is served[0].artifact for result in served)
         assert agrees_with_bigints(served[-1].artifact)

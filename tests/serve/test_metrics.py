@@ -150,17 +150,21 @@ class TestWireSnapshotDelta:
     """
 
     def test_delta_isolates_the_window_between_snapshots(self):
-        memo = SimpleNamespace(misses=1, hits=2, evictions=0)
-        profile = WireProfile(lambda: memo)
+        profile = WireProfile()
         profile.record_send(100, 0.001, route_s=0.0005)
         profile.record_flush(0.0002)
-        before = profile.snapshot()
+        # The supervisor fills the decode memo's counts into its snapshots.
+        before = dataclasses.replace(
+            profile.snapshot(), kernels_unpickled=1, kernels_reused=2
+        )
 
         profile.record_send(40, 0.002, route_s=0.0001)
         profile.record_receive(300, 0.003)
         profile.record_flush(0.0004)
-        memo.misses, memo.hits, memo.evictions = 3, 21, 1
-        window = profile.snapshot().delta(before)
+        after = dataclasses.replace(
+            profile.snapshot(), kernels_unpickled=3, kernels_reused=21, kernels_evicted=1
+        )
+        window = after.delta(before)
 
         assert window.messages_sent == 1
         assert window.messages_received == 1
