@@ -465,23 +465,28 @@ class KernelServer:
             by_device: dict[str, list[_TuneTicket]] = {}
             for ticket in batch:
                 by_device.setdefault(ticket.device, []).append(ticket)
+            outcomes = []
             for device, tickets in sorted(by_device.items()):
                 tuner = Autotuner(session=self.session, db=self.db, save=False)
                 for ticket in tickets:
                     try:
-                        ticket.future.set_result(
-                            tuner.tune(ticket.workload, device, tenant=ticket.tenant)
-                        )
+                        result = tuner.tune(ticket.workload, device, tenant=ticket.tenant)
                     except BaseException as error:  # noqa: BLE001
-                        ticket.future.set_exception(error)
+                        outcomes.append((ticket.future.set_exception, error))
+                    else:
+                        outcomes.append((ticket.future.set_result, result))
             try:
                 self.db.save()
             except Exception:  # noqa: BLE001
-                # The winners are already resolved and live in memory; the
-                # next batch's save retries.  A dead batcher thread would
-                # hang every later tuned request, so never propagate.
+                # The winners live in memory; the next batch's save retries.
+                # A dead batcher thread would hang every later tuned
+                # request, so never propagate.
                 pass
             self.metrics.record_tune_batch(len(batch))
+            # Resolve only now: a reply that reaches its caller has its
+            # winner in the file and its batch in the metrics.
+            for resolve, outcome in outcomes:
+                resolve(outcome)
 
     # -- warmup / invalidation ----------------------------------------------
 

@@ -280,12 +280,7 @@ class TestSharedDatabase:
             shards=2, db=db, devices=("rtx4090",), workers=2, restart=False
         ) as supervisor:
             assert not supervisor.serve(request).from_database  # tuned by its owner
-            # The owner saves its tuning batch after resolving it, so the
-            # reply can arrive before the winner is in the file.
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline and not (db.exists() and len(TuningDatabase(db))):
-                time.sleep(0.05)
-            assert len(TuningDatabase(db)) == 1
+            assert len(TuningDatabase(db)) == 1  # saved before the reply
             owner = supervisor.router.route(request)
             supervisor._handles[owner].process.kill()
             deadline = time.monotonic() + 15.0
