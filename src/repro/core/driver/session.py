@@ -276,30 +276,6 @@ class CompilerSession:
             tuning=tuning,
         )
 
-    # -- cache management ---------------------------------------------------
-
-    def cache_key(
-        self,
-        kernel: Kernel,
-        target: str | Target | None = None,
-        options: RewriteOptions | None = None,
-        run_passes: bool = True,
-    ) -> str:
-        """The content-addressed key :meth:`compile` (or, with ``target=None``,
-        :meth:`lower`) would use for this request.
-
-        Exposed so cache invalidation (:mod:`repro.serve.invalidate`) can
-        evict exactly the artifacts belonging to a stale kernel family.
-        """
-        options = options if options is not None else self.options
-        if target is None:
-            return self._key(kernel, "lower", options, run_passes)
-        return self._key(kernel, "emit", options, run_passes, get_target(target).name)
-
-    def evict(self, key: str) -> bool:
-        """Drop one cache entry by key; True when it was present."""
-        return self._cache.discard(key)
-
     # -- observability ------------------------------------------------------
 
     def stats(self) -> CompileStats:

@@ -14,7 +14,8 @@ winners to heavy concurrent traffic from one long-running process:
   are already warm;
 * :mod:`repro.serve.invalidate` — live invalidation: records stale by
   :data:`~repro.tune.db.TUNER_VERSION` or kernel-family fingerprint are
-  dropped (with their cached artifacts) and optionally re-tuned;
+  dropped in one save and optionally re-tuned (no lookup can hit a stale
+  record, so no served state is evicted);
 * :mod:`repro.serve.client` — :class:`ServedNTT` / :class:`ServedBlasEngine`
   and the ``serve=`` hook behind the existing frontends (both accept a
   :class:`KernelServer` or a :class:`ShardSupervisor`);
@@ -35,8 +36,11 @@ families across server processes:
 * :mod:`repro.serve.supervisor` — :class:`ShardSupervisor`: spawns,
   monitors and restores shards (local processes and remote TCP
   listeners alike), the local ones sharing one tuning-database file;
-  warms and refreshes the cluster once per record through the router; and
-  aggregates metrics across the shards into a :class:`ClusterStats`.
+  warms and invalidates the cluster in one pass over that file, serving
+  through the router; and aggregates metrics across the shards into a
+  :class:`ClusterStats`.  Maintenance never crosses the wire: a
+  ``--listen`` shard's own file is invalidated where it lives, with
+  ``python -m repro.serve --invalidate --db <file>``.
 
 ``python -m repro.serve --warmup --once ntt --bits 256 --stats`` drives a
 single-process server from the command line; ``--shards N`` serves the same

@@ -34,11 +34,12 @@ Examples::
 
 Actions compose left to right: ``--invalidate`` and ``--warmup`` run before
 ``--once``/``--demo``, ``--stats`` prints last.  Against a shard cluster,
-``--warmup`` serves each record of ``--db`` once through the router, and
-``--invalidate`` is broadcast to every live shard, each dropping its stale
-records in place (``--refresh`` then re-serves each stale family once
-through the router); ``--tenant`` scopes requests and maintenance passes to
-one tenant namespace.
+both make one pass over ``--db``: ``--warmup`` serves each record once
+through the router, and ``--invalidate`` drops the stale records in one
+save (``--refresh`` then re-serves each stale family once through the
+router).  A ``--listen`` shard's own file is invalidated like any other,
+with ``--invalidate --db <file>``, while the listener runs.  ``--tenant``
+scopes requests and maintenance passes to one tenant namespace.
 """
 
 from __future__ import annotations
@@ -426,15 +427,6 @@ def _connect_addresses(args: argparse.Namespace) -> tuple[str, ...]:
     )
 
 
-def _print_invalidation(reports: dict[int, dict]) -> None:
-    """One line per shard for a broadcast invalidation summary."""
-    for shard_id in sorted(reports):
-        report = dict(reports[shard_id])
-        report.pop("kind", None)
-        summary = ", ".join(f"{key} {value}" for key, value in report.items())
-        print(f"invalidate     shard {shard_id}: {summary}")
-
-
 def _main_sharded(args: argparse.Namespace, shards: int) -> int:
     supervisor = ShardSupervisor(
         shards=shards,
@@ -455,8 +447,8 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
         )
         tenant = args.tenant if args.tenant is not None else DEFAULT_TENANT
         if args.invalidate:
-            _print_invalidation(
-                supervisor.invalidate(tenant=args.tenant, refresh=args.refresh)
+            print(
+                supervisor.invalidate(refresh=args.refresh, tenant=args.tenant).report()
             )
         if args.warmup:
             print(supervisor.warmup(tenant=args.tenant).report())

@@ -7,15 +7,14 @@ A tuning record goes stale in two ways:
 * **fingerprint** — the frontend now builds different IR for the record's
   kernel family, so the stored fingerprint no longer matches.
 
-Stale records are invisible to lookups (both the version and the fingerprint
-are part of the database key), but they linger in the file, are re-reported
-by every warmup, and their served kernels may still sit in the server's
-resident table and kernel cache.  :func:`invalidate_stale` removes all three:
-the database records (tombstoned, so merge-on-save cannot resurrect them),
-the matching resident results, and the cached artifacts behind them.  With
-``refresh=True`` the affected families are re-tuned and re-served through
-the server's worker pool (:func:`refresh_stale`), so traffic keeps hitting
-warm answers.
+Every lookup keys on this build's version and fingerprint, so a stale
+record is never hit and nothing served came from one; it only lingers in
+the file and is re-reported by every warm-up.  :func:`invalidate_stale`
+makes one pass over one database: it tombstones the stale records (so
+merge-on-save cannot bring them back) and saves once.  With
+``refresh=True`` each stale family is then re-served once through the
+front door, so its traffic finds a current winner.  The staleness rule is
+:func:`~repro.serve.warmup.classify_record`, the one warm-up skips by.
 """
 
 from __future__ import annotations
@@ -24,17 +23,15 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ServingError
-from repro.tenancy import split_tenant, validate_tenant
-from repro.tune.db import TUNER_VERSION, TuningDatabase, TuningRecord
-from repro.serve.server import KernelServer, ServeResult
-from repro.serve.warmup import request_from_record
+from repro.tenancy import validate_tenant
+from repro.tune.db import TuningDatabase, TuningRecord
+from repro.serve.warmup import classify_record, request_from_record
 
 __all__ = [
     "StaleRecord",
     "InvalidationReport",
     "find_stale",
     "invalidate_stale",
-    "refresh_stale",
 ]
 
 
@@ -54,8 +51,6 @@ class InvalidationReport:
     checked: int
     stale: tuple[StaleRecord, ...]
     dropped_records: int
-    evicted_resident: int
-    evicted_artifacts: int
     refreshed: tuple[str, ...]
     seconds: float
 
@@ -72,30 +67,13 @@ class InvalidationReport:
         """Records invalidated by a kernel-family fingerprint change."""
         return self._count("fingerprint")
 
-    def to_payload(self) -> dict:
-        """JSON-ready summary (what a ``ControlReply`` carries back)."""
-        return {
-            "kind": "invalidation",
-            "checked": self.checked,
-            "stale": len(self.stale),
-            "stale_version": self.stale_version,
-            "stale_fingerprint": self.stale_fingerprint,
-            "dropped_records": self.dropped_records,
-            "evicted_resident": self.evicted_resident,
-            "evicted_artifacts": self.evicted_artifacts,
-            "refreshed": list(self.refreshed),
-            "seconds": self.seconds,
-        }
-
     def report(self) -> str:
         """Human-readable summary of the pass."""
         lines = [
             f"invalidation: {len(self.stale)}/{self.checked} records stale "
             f"({self.stale_version} version, {self.stale_fingerprint} fingerprint, "
             f"{self._count('unparsable')} unparsable); "
-            f"dropped {self.dropped_records} records, evicted "
-            f"{self.evicted_resident} resident results and "
-            f"{self.evicted_artifacts} cached artifacts in {self.seconds * 1e3:.1f} ms"
+            f"dropped {self.dropped_records} records in {self.seconds * 1e3:.1f} ms"
         ]
         for entry in self.stale:
             lines.append(
@@ -119,102 +97,54 @@ def find_stale(
     for db_key, record in db.records().items():
         if tenant is not None and record.tenant != tenant:
             continue
-        if record.tuner_version != TUNER_VERSION:
-            stale.append(StaleRecord(db_key, record, "version"))
-            continue
         try:
-            request = request_from_record(record)
+            reason, _ = classify_record(record)
         except ServingError:
-            stale.append(StaleRecord(db_key, record, "unparsable"))
-            continue
-        if request.workload().fingerprint() != record.fingerprint:
-            stale.append(StaleRecord(db_key, record, "fingerprint"))
+            reason = "unparsable"
+        if reason is not None:
+            stale.append(StaleRecord(db_key, record, reason))
     return tuple(stale)
 
 
 def invalidate_stale(
-    server: KernelServer,
-    refresh: bool = False,
-    target: str = "python_exec",
-    tenant: str | None = None,
+    server, refresh: bool = False, tenant: str | None = None
 ) -> InvalidationReport:
-    """Drop every stale record and the served state derived from it.
+    """Drop every stale record in one save; with ``refresh``, re-tune.
 
-    With ``refresh=True``, each dropped family that this server's devices
-    cover is re-tuned (a fresh search under the current tuner version) and
-    re-served through the worker pool before returning — the "re-tune stale
-    families in the background" half of live invalidation; the requests run
-    concurrently on the pool even though this call waits for them.
+    ``server`` is a :class:`~repro.serve.server.KernelServer` or anything
+    with its ``db``, ``devices`` and ``submit(request, tenant=...)``: the
+    shard supervisor passes the records of its database file and routes
+    each refresh to the shard that owns the family.
 
-    ``tenant`` scopes the pass to one namespace: only that tenant's records
-    are dropped and only *its* resident results evicted — tenant A's
-    invalidation leaves tenant B's warm state untouched even when both
-    serve the same kernel family.
+    With ``refresh=True``, each dropped family that the server's devices
+    cover is re-served once (a fresh search under the current tuner
+    version) before returning; the serves run concurrently, and the first
+    failure is raised.  A record whose workload key does not parse is
+    dropped but not re-served.
+
+    ``tenant`` scopes the pass to one namespace: only that tenant's
+    records are dropped.
     """
     started = time.perf_counter()
-    checked = len(server.db.records())
-    stale = find_stale(server.db, tenant=tenant)
-
-    dropped = 0
-    for entry in stale:
-        if server.db.remove(entry.db_key, save=False):
-            dropped += 1
+    db = server.db
+    checked = len(db.records())
+    stale = find_stale(db, tenant=tenant)
+    dropped = sum(db.remove(entry.db_key, save=False) for entry in stale)
     if dropped:
-        server.db.save()
-
-    # Evict served state belonging to the dropped families: resident results
-    # whose (tenant, workload, device) match a dropped record, and their
-    # artifacts in the session's kernel cache.  The tenant is part of the
-    # family, so dropping tenant A's record never evicts tenant B's warm
-    # result for the same kernel.
-    stale_families = {
-        (entry.record.tenant, entry.record.workload_key, entry.record.device)
-        for entry in stale
-    }
-    evicted_resident = 0
-    evicted_artifacts = 0
-    for serve_key, result in server.resident_results().items():
-        resident_tenant, _ = split_tenant(serve_key)
-        family = (resident_tenant, result.request.workload().key, result.request.device)
-        if family in stale_families:
-            if server.evict_resident(serve_key):
-                evicted_resident += 1
-            if server.session.evict(result.cache_key):
-                evicted_artifacts += 1
-
-    refreshed = refresh_stale(server, stale, target=target) if refresh else ()
+        db.save()
+    pending = []
+    for entry in stale if refresh else ():
+        if entry.record.device not in server.devices:
+            continue
+        try:
+            request = request_from_record(entry.record)
+        except ServingError:
+            continue
+        pending.append(server.submit(request, tenant=entry.record.tenant))
     return InvalidationReport(
         checked=checked,
         stale=stale,
         dropped_records=dropped,
-        evicted_resident=evicted_resident,
-        evicted_artifacts=evicted_artifacts,
-        refreshed=tuple(result.request.workload().key for result in refreshed),
+        refreshed=tuple(future.result().request.workload().key for future in pending),
         seconds=time.perf_counter() - started,
     )
-
-
-def refresh_stale(
-    server, stale: tuple[StaleRecord, ...], target: str = "python_exec"
-) -> tuple[ServeResult, ...]:
-    """Re-serve each stale record's family once, waiting for every serve.
-
-    ``server`` is a :class:`KernelServer` or anything with its ``devices``
-    and ``submit(request, tenant=...)`` — the shard supervisor routes these
-    serves to the shard that owns each family.  Records for other devices,
-    and records whose workload key does not parse, are skipped.  The
-    requests run concurrently; the first failure is raised.
-    """
-    pending = []
-    for entry in stale:
-        if entry.record.device not in server.devices:
-            continue
-        try:
-            # A version-stale record can *also* carry an unparsable legacy
-            # workload key — it is classified by the first test that
-            # fails, so parse defensively here.
-            request = request_from_record(entry.record, target=target)
-        except ServingError:
-            continue
-        pending.append(server.submit(request, tenant=entry.record.tenant))
-    return tuple(future.result() for future in pending)

@@ -40,6 +40,10 @@ Message types (each a frozen dataclass):
   (:func:`negotiate_trust`).
 * :class:`ShutdownCall` — asks the shard to drain and exit cleanly.
 
+Maintenance never crosses the wire: warm-up and invalidation run in the
+process that owns the tuning-database file, and reach shards only as
+routed serves.
+
 **Artifact encodings.**  A served artifact crosses the wire in one of two
 forms (:func:`encode_artifact` / :func:`decode_artifact`): ``"source"``
 (backend source text, the ``cuda`` / ``c99`` targets) or
@@ -105,8 +109,6 @@ __all__ = [
     "PongReply",
     "HelloCall",
     "HelloReply",
-    "ControlCall",
-    "ControlReply",
     "ShutdownCall",
     "negotiate_trust",
     "encode_artifact",
@@ -341,7 +343,6 @@ def _encode_result(result: ServeResult, frames: list) -> dict:
         "artifact": encode_artifact(result.artifact, frames),
         "config": dataclasses.asdict(result.config),
         "fingerprint": result.fingerprint,
-        "cache_key": result.cache_key,
         "tuning": _encode_tuning(result.tuning),
         "warm": result.warm,
         "latency_s": result.latency_s,
@@ -537,40 +538,6 @@ class HelloReply:
     trust: str
 
 
-#: Control actions a :class:`ControlCall` may carry.
-CONTROL_INVALIDATE = "invalidate"
-_CONTROL_ACTIONS = (CONTROL_INVALIDATE,)
-
-
-@dataclass(frozen=True)
-class ControlCall:
-    """A cluster-control action for one shard: stale-record invalidation.
-
-    The supervisor broadcasts these so operators can invalidate a
-    *running* cluster in place instead of restarting every shard: the
-    shard drops its stale records and evicts what it served from them.
-    ``tenant`` scopes the action to one tenant's namespace; ``None`` means
-    every namespace.
-    """
-
-    request_id: int
-    action: str = CONTROL_INVALIDATE
-    tenant: str | None = None
-
-
-@dataclass(frozen=True)
-class ControlReply:
-    """One shard's outcome of a :class:`ControlCall`.
-
-    ``report`` is the action's JSON-ready summary dict (the wire form of an
-    :class:`~repro.serve.invalidate.InvalidationReport` — the protocol
-    layer never interprets it, mirroring how trace spans travel).
-    """
-
-    request_id: int
-    report: dict = dataclasses.field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class ShutdownCall:
     """Ask the shard to drain in-flight work and exit; no reply follows."""
@@ -581,7 +548,7 @@ class ShutdownCall:
 # -- envelope encode/decode --------------------------------------------------
 
 
-def _stats_to_payload(message: StatsReply) -> dict:
+def _encode_stats(message: StatsReply) -> dict:
     stats = dataclasses.asdict(message.stats)
     # Additive per-tenant breakdown: emitted only when non-empty, so the
     # untenanted stats reply stays byte-identical to the pre-tenant wire.
@@ -615,7 +582,7 @@ def _decode_tenant_breakdown(value) -> dict:
     return breakdown
 
 
-def _stats_from_payload(payload: dict, allow_pickled: bool) -> StatsReply:
+def _decode_stats(payload: dict, allow_pickled: bool) -> StatsReply:
     if not isinstance(payload, dict) or not isinstance(payload.get("stats"), dict):
         raise ProtocolError(f"malformed stats payload: {payload!r}")
     fields = dict(payload["stats"])
@@ -679,19 +646,6 @@ def _decode_tenant_field(value) -> str:
         return validate_tenant(value)
     except ValueError as error:
         raise ProtocolError(f"invalid tenant id on the wire: {error}") from None
-
-
-def _decode_control(payload: dict) -> ControlCall:
-    """Strictly decode a control call (its fields name state to mutate)."""
-    action = payload.get("action")
-    if action not in _CONTROL_ACTIONS:
-        raise ProtocolError(
-            f"unknown control action {action!r} (known: {_CONTROL_ACTIONS})"
-        )
-    tenant = payload.get("tenant")
-    if tenant is not None:
-        tenant = _decode_tenant_field(tenant)
-    return ControlCall(request_id=_request_id(payload), action=action, tenant=tenant)
 
 
 def _validate_hello(message):
@@ -767,8 +721,8 @@ _MESSAGE_TYPES = {
     ),
     "stats-result": (
         StatsReply,
-        lambda m, frames: _stats_to_payload(m),
-        lambda p, allow, frames: _stats_from_payload(p, allow),
+        lambda m, frames: _encode_stats(m),
+        lambda p, allow, frames: _decode_stats(p, allow),
     ),
     "ping": (
         PingCall,
@@ -790,28 +744,6 @@ _MESSAGE_TYPES = {
         lambda m, frames: dataclasses.asdict(m),
         lambda p, allow, frames: _validate_hello(_rebuild(HelloReply, p, "hello reply")),
     ),
-    "control": (
-        ControlCall,
-        lambda m, frames: {
-            "request_id": m.request_id,
-            "action": m.action,
-            **({"tenant": m.tenant} if m.tenant is not None else {}),
-        },
-        lambda p, allow, frames: _decode_control(p),
-    ),
-    "control-reply": (
-        ControlReply,
-        lambda m, frames: {
-            "request_id": m.request_id,
-            "report": dict(m.report),
-        },
-        lambda p, allow, frames: ControlReply(
-            request_id=_request_id(p),
-            report=(
-                dict(p["report"]) if isinstance(p.get("report"), dict) else {}
-            ),
-        ),
-    ),
     "shutdown": (
         ShutdownCall,
         lambda m, frames: dataclasses.asdict(m),
@@ -832,8 +764,6 @@ Message = (
     | PongReply
     | HelloCall
     | HelloReply
-    | ControlCall
-    | ControlReply
     | ShutdownCall
 )
 

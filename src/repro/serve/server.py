@@ -68,13 +68,13 @@ def check_servable(request: ServeRequest) -> None:
 def serve_key(tenant: str, request: ServeRequest) -> str:
     """THE tenant-qualified serve key — the only place its format lives.
 
-    Every resident-table entry, in-flight-dedup slot, and eviction call
-    keys through this helper: the :data:`~repro.tenancy.DEFAULT_TENANT`
-    namespace is the bare :meth:`ServeRequest.key` (identical to the
-    pre-tenant format), and any other tenant's key carries a ``tenant::``
-    prefix.  Hand-building ``f"{tenant}::{key}"`` anywhere else is a bug —
-    the format changed once already (this refactor) and call sites that
-    bypassed the helper were exactly the ones that broke.
+    Every resident-table entry and in-flight-dedup slot keys through this
+    helper: the :data:`~repro.tenancy.DEFAULT_TENANT` namespace is the bare
+    :meth:`ServeRequest.key` (identical to the pre-tenant format), and any
+    other tenant's key carries a ``tenant::`` prefix.  Hand-building
+    ``f"{tenant}::{key}"`` anywhere else is a bug — the format changed once
+    already (this refactor) and call sites that bypassed the helper were
+    exactly the ones that broke.
     """
     return qualify_key(tenant, request.key())
 
@@ -169,8 +169,6 @@ class ServeResult:
             ``python_exec``, source text for ``cuda``/``c99``).
         config: the kernel configuration the artifact was generated with.
         fingerprint: the workload's kernel-family fingerprint.
-        cache_key: the session cache key of the artifact (invalidation evicts
-            by this key).
         tuning: the tuning result behind ``config`` (``None`` for pinned
             requests).
         warm: served from the resident table (no work performed).
@@ -181,7 +179,6 @@ class ServeResult:
     artifact: object
     config: KernelConfig
     fingerprint: str
-    cache_key: str
     tuning: TuningResult | None
     warm: bool
     latency_s: float
@@ -391,9 +388,6 @@ class KernelServer:
                 config = request.pinned_config()
             kernel = workload.build(config)
             options = config.rewrite_options()
-            cache_key = self.session.cache_key(
-                kernel, target=request.target, options=options
-            )
             with tracing.span("serve.compile", target=request.target):
                 artifact = self.session.compile(
                     kernel, target=request.target, options=options
@@ -404,7 +398,6 @@ class KernelServer:
                 artifact=artifact,
                 config=config,
                 fingerprint=workload.fingerprint(),
-                cache_key=cache_key,
                 tuning=tuning,
                 warm=False,
                 latency_s=latency,
@@ -502,21 +495,18 @@ class KernelServer:
         return warm_server(self, tenant=tenant)
 
     def invalidate(self, refresh: bool = False, tenant: str | None = None):
-        """Drop stale tuning records and their served kernels.
+        """Drop stale tuning records in one save; ``refresh`` re-tunes each
+        stale family once.
 
-        ``tenant`` scopes the pass to one namespace (``None`` considers
-        every namespace).  Returns the
+        No served result can have come from a stale record, so nothing
+        resident is touched.  ``tenant`` scopes the pass to one namespace
+        (``None`` considers every namespace).  Returns the
         :class:`~repro.serve.invalidate.InvalidationReport`; see
         :func:`repro.serve.invalidate.invalidate_stale`.
         """
         from repro.serve.invalidate import invalidate_stale
 
         return invalidate_stale(self, refresh=refresh, tenant=tenant)
-
-    def evict_resident(self, key: str) -> bool:
-        """Drop one resident result by serve key; True when present."""
-        with self._lock:
-            return self._resident.discard(key)
 
     def evict_tenant(self, tenant: str) -> int:
         """Drop every resident result in one tenant's namespace.
@@ -549,11 +539,6 @@ class KernelServer:
         """Requests submitted but not yet fulfilled."""
         with self._lock:
             return len(self._inflight)
-
-    def resident_results(self) -> dict[str, ServeResult]:
-        """A snapshot of the resident table (serve key → result)."""
-        with self._lock:
-            return dict(self._resident.items())
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Counters plus the current queue/resident gauges."""

@@ -34,7 +34,10 @@ shard never unpickles what it receives.
 
 Every local shard opens the supervisor's tuning-database file itself and
 saves its winners into it through the database's merge-on-save, whose lock
-holds across processes; a TCP listener keeps its own file.
+holds across processes; a TCP listener keeps its own file, which
+``python -m repro.serve --invalidate --db <file>`` invalidates while the
+listener runs (a tombstone beats an older record whichever process saves
+last).
 """
 
 from __future__ import annotations
@@ -320,26 +323,6 @@ def _serve_connection(
                     request_id=message.request_id, shard_id=shard_id, pid=os.getpid()
                 )
             )
-        elif isinstance(message, protocol.ControlCall):
-            # Invalidation rebuilds every record's kernel family to check its
-            # fingerprint, so it runs off-loop: warm traffic on this
-            # connection keeps flowing and the reply correlates by
-            # request_id like any other.
-            def control(message=message) -> None:
-                try:
-                    report = server.invalidate(tenant=message.tenant)
-                    reply(
-                        protocol.ControlReply(
-                            request_id=message.request_id,
-                            report=report.to_payload(),
-                        )
-                    )
-                except BaseException as error:  # noqa: BLE001 - relayed
-                    reply(protocol.ErrorReply.from_exception(message.request_id, error))
-
-            threading.Thread(
-                target=control, name=f"shard-{shard_id}-control", daemon=True
-            ).start()
         elif isinstance(message, protocol.ShutdownCall):
             return True
         else:  # a reply type sent the wrong way; report and keep serving

@@ -46,10 +46,13 @@ unchanged):
   them into one :class:`ClusterStats`: global warm/cold/dedup counts and
   p50/p95 computed from the *summed* histograms, plus the per-shard rows.
 * **Maintenance** — every local shard sees every record of the file, so
+  the supervisor makes one pass over that file for the whole cluster:
   :meth:`ShardSupervisor.warmup` serves each record once through the router
-  (:func:`~repro.serve.warmup.warm_server`) instead of once per shard, and
-  :meth:`ShardSupervisor.invalidate` broadcasts the drop-and-evict, then
-  with ``refresh`` re-serves each stale family once through the router.
+  (:func:`~repro.serve.warmup.warm_server`), and
+  :meth:`ShardSupervisor.invalidate` tombstones the stale records in one
+  save, then with ``refresh`` re-serves each stale family once through the
+  router (:func:`~repro.serve.invalidate.invalidate_stale`).  No
+  maintenance message crosses the wire.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from repro.serve.metrics import (
     merge_counts,
     percentile_from_histogram,
 )
-from repro.serve.invalidate import find_stale, refresh_stale
+from repro.serve.invalidate import InvalidationReport, invalidate_stale
 from repro.serve.server import ServeRequest, ServeResult, check_servable
 from repro.serve.shard import ShardRouter, run_shard
 from repro.serve.warmup import WarmupReport, warm_server
@@ -299,7 +302,7 @@ class _ShardHandle:
         self.process = None
         self.links: list[_Link] = []
         # request_id -> (tenant, request, future, trace handle, deadline_ms);
-        # tenant and request are None for control-plane probes, the trace
+        # tenant and request are None for stats and ping probes, the trace
         # handle None when untraced, the deadline None when the caller set
         # no budget.
         self.pending: dict[
@@ -788,7 +791,7 @@ class ShardSupervisor:
                 _resolve(future, result=message.result)
             elif isinstance(
                 message,
-                (protocol.StatsReply, protocol.PongReply, protocol.ControlReply),
+                (protocol.StatsReply, protocol.PongReply),
             ):
                 _resolve(future, result=message)
             elif isinstance(message, protocol.ErrorReply):
@@ -1127,9 +1130,9 @@ class ShardSupervisor:
         )
 
     def _maintenance_door(self) -> SimpleNamespace:
-        """The front door warm-up and refresh serve through: the database
-        file's records (empty without ``db``), this cluster's devices, and
-        routing without tenant admission — maintenance is not traffic."""
+        """The front door warm-up and invalidation run through: the database
+        file (empty without ``db``), this cluster's devices, and routing
+        without tenant admission — maintenance is not traffic."""
 
         def submit(request: ServeRequest, tenant: str = DEFAULT_TENANT) -> Future:
             future: Future = Future()
@@ -1153,43 +1156,22 @@ class ShardSupervisor:
         return warm_server(self._maintenance_door(), tenant=tenant)
 
     def invalidate(
-        self,
-        tenant: str | None = None,
-        refresh: bool = False,
-        timeout: float = 300.0,
-    ) -> dict[int, dict]:
-        """Broadcast a stale-record invalidation to every live shard.
+        self, refresh: bool = False, tenant: str | None = None
+    ) -> InvalidationReport:
+        """Drop the database file's stale records, once for the cluster.
 
-        Each shard drops its stale tuning records and the served state
-        behind them (:func:`~repro.serve.invalidate.invalidate_stale`);
-        ``tenant`` scopes the pass so one tenant's invalidation never
-        evicts another's warm results.  With ``refresh``, each stale family
-        of the database file is then re-served once through the router (a
-        fresh search on the shard that owns it, not admitted against tenant
-        quotas) and listed under ``"refreshed"`` in that shard's summary.
-        Returns shard id → invalidation summary, with per-shard ``"error"``
-        entries instead of broadcast failure.
+        One pass over the file (:func:`~repro.serve.invalidate.invalidate_stale`)
+        tombstones its stale records in one save; each shard's own copy of
+        them gives way to the tombstone at its next save.  With ``refresh``,
+        each stale family is re-served once through the router (a fresh
+        search on the shard that owns it, not admitted against tenant
+        quotas).  ``tenant`` scopes the pass to one namespace.  A remote
+        listener's own file is not touched: run ``--invalidate --db`` on
+        that file.
         """
-        if tenant is not None:
-            validate_tenant(tenant)
-        # Read the file before the shards tombstone its stale records.
-        door = self._maintenance_door()
-        stale = find_stale(door.db, tenant=tenant) if refresh else ()
-        call = functools.partial(protocol.ControlCall, tenant=tenant)
-        with self._lock:
-            handles = [h for h in self._handles.values() if h.alive()]
-        reports: dict[int, dict] = {}
-        for handle in handles:
-            try:
-                reply = self._probe(handle, call, timeout)
-            except Exception as error:  # noqa: BLE001 - per-shard, not fatal
-                reports[handle.shard_id] = {"error": str(error)}
-                continue
-            reports[handle.shard_id] = dict(getattr(reply, "report", {}))
-        for result in refresh_stale(door, stale):
-            report = reports.setdefault(self.router.route(result.request), {})
-            report.setdefault("refreshed", []).append(result.request.workload().key)
-        return reports
+        return invalidate_stale(
+            self._maintenance_door(), refresh=refresh, tenant=tenant
+        )
 
     def wire_snapshot(self) -> WireSnapshot:
         """The supervisor-side wire-path profile without probing any shard,

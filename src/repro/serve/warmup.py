@@ -1,17 +1,19 @@
 """Startup pre-warming: compile every recorded winner before traffic.
 
 ``warm_server`` walks the server's tuning database and serves every record
-that (a) was tuned for one of the server's devices, (b) carries the current
-:data:`~repro.tune.db.TUNER_VERSION`, and (c) still matches its kernel
-family's fingerprint.  Each serve runs through the normal front door, so the
-winning configuration is looked up warm in the database (zero search), its
-kernel is compiled into the session's content-addressed cache, and the
-result lands in the server's resident table — after which identical traffic
-is answered with no compilation and no database access at all.
+that (a) was tuned for one of the server's devices and (b) is live: it
+carries the current :data:`~repro.tune.db.TUNER_VERSION` and still matches
+its kernel family's fingerprint (:func:`classify_record`).  Each serve runs
+through the normal front door, so the winning configuration is looked up
+warm in the database (zero search), its kernel is compiled into the
+session's content-addressed cache, and the result lands in the server's
+resident table — after which identical traffic is answered with no
+compilation and no database access at all.
 
-Records that fail (b) or (c) are *stale*; warmup skips them (they would
-trigger a fresh search, defeating the point of pre-warming) and reports
-them, so operators can run :func:`repro.serve.invalidate.invalidate_stale`.
+Records that fail (b) are *stale*; warmup skips them (they would trigger a
+fresh search, defeating the point of pre-warming) and reports them, so
+operators can run :func:`repro.serve.invalidate.invalidate_stale`, which
+drops exactly these records.
 """
 
 from __future__ import annotations
@@ -26,44 +28,74 @@ from repro.tune.db import TUNER_VERSION, TuningRecord
 from repro.tune.space import BLAS, NTT
 from repro.serve.server import KernelServer, ServeRequest
 
-__all__ = ["WarmupEntry", "WarmupReport", "request_from_record", "warm_server"]
+__all__ = [
+    "WarmupEntry",
+    "WarmupReport",
+    "classify_record",
+    "request_from_record",
+    "warm_server",
+]
 
-_NTT_KEY = re.compile(r"^ntt/(?P<op>[a-z_]+)/n(?P<size>\d+)/(?P<bits>\d+)b$")
-_BLAS_KEY = re.compile(r"^blas/(?P<op>[a-z_]+)/e(?P<elements>\d+)/(?P<bits>\d+)b$")
+#: A workload key's optional ``/m<modulus_bits>`` suffix (a modulus other
+#: than ``bits - 4``; see :attr:`~repro.tune.space.Workload.key`).
+_MODULUS = r"(?:/m(?P<modulus>\d+))?$"
+_NTT_KEY = re.compile(
+    r"^ntt/(?P<op>[a-z_]+)/n(?P<size>\d+)/(?P<bits>\d+)b" + _MODULUS
+)
+_BLAS_KEY = re.compile(
+    r"^blas/(?P<op>[a-z_]+)/e(?P<elements>\d+)/(?P<bits>\d+)b" + _MODULUS
+)
 
 
 def request_from_record(record: TuningRecord, target: str = "python_exec") -> ServeRequest:
     """Rebuild the serve request a tuning record answers.
 
     Parses the record's human-readable ``workload_key`` (the only workload
-    identity a record stores besides the fingerprint); raises
-    :class:`ServingError` for keys this version cannot parse.  Records tuned
-    with a non-default ``modulus_bits`` rebuild under the paper convention
-    and are then caught by the fingerprint check as stale.
+    identity a record stores besides the fingerprint), including the
+    ``/m<modulus_bits>`` suffix of a non-default modulus; raises
+    :class:`ServingError` for keys this version cannot parse.
     """
     match = _NTT_KEY.match(record.workload_key)
-    if match:
-        return ServeRequest(
-            kind=NTT,
-            bits=int(match.group("bits")),
-            operation=match.group("op"),
-            size=int(match.group("size")),
-            device=record.device,
-            target=target,
-        )
-    match = _BLAS_KEY.match(record.workload_key)
-    if match:
-        return ServeRequest(
-            kind=BLAS,
-            bits=int(match.group("bits")),
-            operation=match.group("op"),
-            elements=int(match.group("elements")),
-            device=record.device,
-            target=target,
-        )
-    raise ServingError(
-        f"cannot parse workload key {record.workload_key!r} from the tuning database"
+    if match is not None:
+        shape = {"kind": NTT, "size": int(match.group("size"))}
+    else:
+        match = _BLAS_KEY.match(record.workload_key)
+        if match is None:
+            raise ServingError(
+                f"cannot parse workload key {record.workload_key!r} "
+                f"from the tuning database"
+            )
+        shape = {"kind": BLAS, "elements": int(match.group("elements"))}
+    modulus = match.group("modulus")
+    return ServeRequest(
+        bits=int(match.group("bits")),
+        operation=match.group("op"),
+        modulus_bits=int(modulus) if modulus is not None else None,
+        device=record.device,
+        target=target,
+        **shape,
     )
+
+
+def classify_record(
+    record: TuningRecord, target: str = "python_exec"
+) -> tuple[str | None, ServeRequest | None]:
+    """The one staleness rule: ``(reason, request)`` for one record.
+
+    ``reason`` is ``None`` for a live record, ``"version"`` when it was
+    tuned under another :data:`TUNER_VERSION` (its key is then not parsed,
+    and ``request`` is ``None``), or ``"fingerprint"`` when its kernel
+    family now builds different IR.  ``request`` is what the record
+    answers.  Raises :class:`ServingError` when the key does not parse.
+    Warm-up skips, and invalidation drops, exactly the records this calls
+    stale.
+    """
+    if record.tuner_version != TUNER_VERSION:
+        return "version", None
+    request = request_from_record(record, target=target)
+    if request.workload().fingerprint() != record.fingerprint:
+        return "fingerprint", request
+    return None, request
 
 
 @dataclass(frozen=True)
@@ -115,19 +147,6 @@ class WarmupReport:
         """Records that failed to parse or compile."""
         return self._count("error")
 
-    def to_payload(self) -> dict:
-        """JSON-ready summary (what a ``ControlReply`` carries back)."""
-        return {
-            "kind": "warmup",
-            "records": len(self.entries),
-            "warmed": self.warmed,
-            "stale": self.stale,
-            "other_device": self.skipped_other_device,
-            "other_tenant": self.skipped_other_tenant,
-            "errors": self.errors,
-            "seconds": self.seconds,
-        }
-
     def report(self) -> str:
         """Human-readable summary (one line per non-warmed record)."""
         lines = [
@@ -170,94 +189,48 @@ def warm_server(
         validate_tenant(tenant)
     started = time.perf_counter()
     entries: list[WarmupEntry] = []
-    pending: list[tuple[TuningRecord, str, object]] = []
+    pending: list[tuple[str, TuningRecord, object]] = []
+
+    def note(db_key: str, record: TuningRecord, status: str, detail: str = "") -> None:
+        entries.append(
+            WarmupEntry(
+                db_key,
+                record.workload_key,
+                record.device,
+                status,
+                detail,
+                tenant=record.tenant,
+            )
+        )
+
     for db_key, record in server.db.records().items():
         if tenant is not None and record.tenant != tenant:
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "other-tenant",
-                    f"record belongs to tenant {record.tenant!r}",
-                    tenant=record.tenant,
-                )
-            )
+            detail = f"record belongs to tenant {record.tenant!r}"
+            note(db_key, record, "other-tenant", detail)
             continue
         if record.device not in server.devices:
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "other-device",
-                    tenant=record.tenant,
-                )
-            )
-            continue
-        if record.tuner_version != TUNER_VERSION:
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "stale-version",
-                    f"record v{record.tuner_version}, tuner v{TUNER_VERSION}",
-                    tenant=record.tenant,
-                )
-            )
+            note(db_key, record, "other-device")
             continue
         try:
-            request = request_from_record(record, target=target)
-            if request.workload().fingerprint() != record.fingerprint:
-                entries.append(
-                    WarmupEntry(
-                        db_key,
-                        record.workload_key,
-                        record.device,
-                        "stale-fingerprint",
-                        "kernel family changed since tuning",
-                        tenant=record.tenant,
-                    )
-                )
-                continue
-            pending.append(
-                (record, db_key, server.submit(request, tenant=record.tenant))
-            )
+            reason, request = classify_record(record, target=target)
+            if reason is None:
+                future = server.submit(request, tenant=record.tenant)
+                pending.append((db_key, record, future))
         except ServingError as error:
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "error",
-                    str(error),
-                    tenant=record.tenant,
-                )
-            )
-    for record, db_key, future in pending:
+            note(db_key, record, "error", str(error))
+            continue
+        if reason == "version":
+            detail = f"record v{record.tuner_version}, tuner v{TUNER_VERSION}"
+            note(db_key, record, "stale-version", detail)
+        elif reason == "fingerprint":
+            detail = "kernel family changed since tuning"
+            note(db_key, record, "stale-fingerprint", detail)
+    for db_key, record, future in pending:
         try:
             result = future.result()
-            detail = "tuned from database" if result.from_database else "re-tuned"
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "warmed",
-                    detail,
-                    tenant=record.tenant,
-                )
-            )
         except Exception as error:  # noqa: BLE001 - reported, not fatal
-            entries.append(
-                WarmupEntry(
-                    db_key,
-                    record.workload_key,
-                    record.device,
-                    "error",
-                    str(error),
-                    tenant=record.tenant,
-                )
-            )
+            note(db_key, record, "error", str(error))
+        else:
+            detail = "tuned from database" if result.from_database else "re-tuned"
+            note(db_key, record, "warmed", detail)
     return WarmupReport(entries=tuple(entries), seconds=time.perf_counter() - started)

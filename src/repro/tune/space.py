@@ -134,10 +134,18 @@ class Workload:
 
     @property
     def key(self) -> str:
-        """Human-readable identity used in reports and database records."""
+        """Human-readable identity used in reports and database records.
+
+        A modulus other than the paper's ``bits - 4`` ends the key in
+        ``/m<modulus_bits>``, so the key names the whole workload.
+        """
         if self.kind == NTT:
-            return f"ntt/{self.operation}/n{self.size}/{self.bits}b"
-        return f"blas/{self.operation}/e{self.elements}/{self.bits}b"
+            key = f"ntt/{self.operation}/n{self.size}/{self.bits}b"
+        else:
+            key = f"blas/{self.operation}/e{self.elements}/{self.bits}b"
+        if self.modulus_bits is not None and self.modulus_bits != self.bits - 4:
+            key += f"/m{self.modulus_bits}"
+        return key
 
     def default_config(self) -> KernelConfig:
         """The paper-default configuration (schoolbook, widest legal word)."""

@@ -1,4 +1,4 @@
-"""Live invalidation: stale records are dropped, evicted, and re-tuned."""
+"""Live invalidation: stale records are dropped in one save and re-tuned."""
 
 import dataclasses
 
@@ -39,7 +39,7 @@ class TestFindStale:
 
 
 class TestInvalidateStale:
-    def test_tuner_version_bump_evicts_and_retunes(self, tmp_path):
+    def test_tuner_version_bump_drops_and_retunes(self, tmp_path):
         """Acceptance: a version bump drops the record and re-tunes the family."""
         db = _stale_version_db(tmp_path / "db.json")
         with KernelServer(db=db, devices=("rtx4090",)) as server:
@@ -58,31 +58,25 @@ class TestInvalidateStale:
             # Traffic after the refresh is answered warm.
             assert server.serve(REQUEST).warm
 
-    def test_stale_records_evict_resident_results_and_artifacts(self, tmp_path):
+    def test_dropping_a_served_familys_stale_record_changes_no_served_result(
+        self, tmp_path
+    ):
         path = tmp_path / "db.json"
         with KernelServer(db=TuningDatabase(path), devices=("rtx4090",)) as server:
             result = server.serve(REQUEST)
-            assert server.resident_count == 1
-            # Simulate the family having gone stale: plant a bogus-fingerprint
-            # record for the same (workload, device).
+            # Plant a bogus-fingerprint record for the same (workload,
+            # device): no lookup can hit it, so nothing served came from it.
             [(key, record)] = server.db.records().items()
             server.db.store(dataclasses.replace(record, fingerprint="0" * 16))
 
-            invalidations_before = server.session.cache_info().invalidations
             report = invalidate_stale(server)
 
             assert report.stale_fingerprint == 1
-            assert report.evicted_resident == 1
-            assert report.evicted_artifacts == 1
-            assert server.resident_count == 0
-            assert server.session.cache_info().invalidations == invalidations_before + 1
-            # The next serve re-compiles (cold) rather than using stale
-            # state; the family's live record still answers the tuning.
+            assert report.dropped_records == 1
+            assert list(server.db.records()) == [key]
             fresh = server.serve(REQUEST)
-            assert not fresh.warm
-            assert fresh.from_database
-            assert fresh.cache_key == result.cache_key
-            assert fresh.artifact is not result.artifact
+            assert fresh.warm
+            assert fresh.artifact is result.artifact
 
     def test_dropped_records_stay_dropped_on_disk(self, tmp_path):
         path = tmp_path / "db.json"
@@ -108,3 +102,35 @@ class TestInvalidateStale:
             report = invalidate_stale(server, refresh=True)
             assert report.dropped_records == 1
             assert report.refreshed == ()
+
+
+class TestNonDefaultModulus:
+    """A record tuned with a non-default ``modulus_bits`` stays live."""
+
+    MODULUS_REQUEST = ServeRequest(kind="ntt", bits=BITS, size=SIZE, modulus_bits=100)
+
+    def test_the_workload_key_names_the_modulus(self):
+        assert self.MODULUS_REQUEST.workload().key == "ntt/cooley_tukey/n16/128b/m100"
+        # The paper's bits - 4 leaves the key as it always was.
+        explicit = dataclasses.replace(REQUEST, modulus_bits=BITS - 4)
+        assert explicit.workload().key == REQUEST.workload().key
+        assert explicit.workload().fingerprint() == REQUEST.workload().fingerprint()
+
+    def test_record_survives_invalidate_and_warms_from_the_database(self, tmp_path):
+        path = tmp_path / "db.json"
+        with KernelServer(db=TuningDatabase(path), devices=("rtx4090",)) as server:
+            server.serve(self.MODULUS_REQUEST)
+            assert find_stale(server.db) == ()
+            report = server.invalidate()
+            assert (len(report.stale), report.dropped_records) == (0, 0)
+            assert server.serve(self.MODULUS_REQUEST).warm
+        [record] = TuningDatabase(path).records().values()
+        assert record.workload_key.endswith("/m100")
+        with KernelServer(db=TuningDatabase(path), devices=("rtx4090",)) as server:
+            warmup = server.warm()
+            assert (warmup.warmed, warmup.stale) == (1, 0)
+            assert warmup.entries[0].detail == "tuned from database"
+            served = server.serve(self.MODULUS_REQUEST)
+            assert served.warm
+            assert served.from_database
+            assert served.config.effective_modulus_bits == 100

@@ -55,7 +55,6 @@ class TestMessageRoundTrips:
         assert result.request == served.request
         assert result.config == served.config
         assert result.fingerprint == served.fingerprint
-        assert result.cache_key == served.cache_key
         assert result.warm == served.warm
         # The tuning provenance crosses (minus the trial list, by design).
         assert result.tuning.candidate == served.tuning.candidate

@@ -1,8 +1,10 @@
 """``python -m repro.serve`` CLI: request modes, warmup, demo, errors."""
 
+import dataclasses
 import json
 
 from repro.serve.cli import main
+from repro.tune import TuningDatabase
 
 NTT_ARGS = ["--once", "ntt", "--bits", "128", "--size", "16"]
 
@@ -108,6 +110,21 @@ class TestShardMode:
         out = capsys.readouterr().out
         assert out.count("warmup: ") == 1
         assert "warmup: 1/1 records warmed" in out
+
+    def test_invalidate_prints_one_report_for_the_cluster(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        assert main(NTT_ARGS + ["--db", str(db)]) == 0
+        aged = TuningDatabase(db)
+        [(key, record)] = aged.records().items()
+        aged.remove(key, save=False)
+        aged.store(dataclasses.replace(record, tuner_version=0))
+        capsys.readouterr()
+        invalidate = ["--shards", "2", "--invalidate", "--refresh", "--db", str(db)]
+        assert main(invalidate) == 0
+        out = capsys.readouterr().out
+        assert out.count("invalidation: ") == 1
+        assert "invalidation: 1/1 records stale (1 version" in out
+        assert "re-tuned: ntt/cooley_tukey/n16/128b" in out
 
     def test_unreadable_db_fails_before_serving(self, tmp_path, capsys):
         db = tmp_path / "db.json"

@@ -327,12 +327,16 @@ class TestSharedDatabase:
             aged.store(dataclasses.replace(record, tuner_version=0), save=False)
         aged.save()
         with ShardSupervisor(shards=2, db=db, devices=("rtx4090",), workers=2) as supervisor:
-            reports = supervisor.invalidate(refresh=True)
+            report = supervisor.invalidate(refresh=True)
             stats = supervisor.stats()
-        assert all(report["stale"] == len(requests) for report in reports.values())
-        refreshed = [key for report in reports.values() for key in report["refreshed"]]
-        assert sorted(refreshed) == sorted(request.workload().key for request in requests)
+        assert len(report.stale) == report.stale_version == len(requests)
+        assert report.dropped_records == len(requests)
+        assert sorted(report.refreshed) == sorted(
+            request.workload().key for request in requests
+        )
         assert (stats.batched_tunes, stats.cold_serves) == (len(requests), len(requests))
+        # The refreshes' tunes saved from shards that loaded the stale
+        # records at startup; the tombstones kept those copies out.
         keys = TuningDatabase(db).records()
         assert len(keys) == len(requests)
         assert all(key.endswith(f"::v{TUNER_VERSION}") for key in keys)
@@ -352,13 +356,25 @@ class TestSharedDatabase:
     def test_refresh_with_nothing_stale_retunes_nothing(self, cluster):
         supervisor, _, db = cluster
         records = TuningDatabase(db).records()
-        tunes = supervisor.stats().batched_tunes
-        reports = supervisor.invalidate(refresh=True)
-        assert set(reports) == {0, 1}
-        for report in reports.values():
-            assert (report["stale"], report["refreshed"]) == (0, [])
-        assert supervisor.stats().batched_tunes == tunes
+        before = supervisor.stats()
+        report = supervisor.invalidate(refresh=True)
+        assert report.checked == len(records)
+        assert (report.stale, report.dropped_records, report.refreshed) == ((), 0, ())
+        after = supervisor.stats()
+        assert after.batched_tunes == before.batched_tunes
+        assert after.requests == before.requests
         assert TuningDatabase(db).records() == records
+
+    def test_invalidation_keeps_every_warm_result_warm(self, cluster):
+        supervisor, _, db = cluster
+        records = TuningDatabase(db).records()
+        stale = dataclasses.replace(next(iter(records.values())), tuner_version=0)
+        TuningDatabase(db).store(stale)
+        report = supervisor.invalidate()
+        assert [entry.db_key for entry in report.stale] == [stale.key()]
+        assert report.dropped_records == 1
+        assert TuningDatabase(db).records() == records
+        assert all(supervisor.serve(request).warm for request in FAMILY_MIX)
 
     def test_tenant_scoped_warmup_warms_only_that_namespace(self, tmp_path):
         db = tmp_path / "tuning.json"
@@ -375,10 +391,10 @@ class TestSharedDatabase:
     def test_without_a_file_warmup_and_refresh_find_no_records(self):
         with ShardSupervisor(shards=1, devices=("rtx4090",), workers=1) as supervisor:
             report = supervisor.warmup()
-            reports = supervisor.invalidate(refresh=True)
+            invalidation = supervisor.invalidate(refresh=True)
             stats = supervisor.stats()
         assert report.entries == ()
-        assert reports[0]["refreshed"] == []
+        assert (invalidation.checked, invalidation.refreshed) == (0, ())
         assert (stats.requests, stats.batched_tunes) == (0, 0)
 
 

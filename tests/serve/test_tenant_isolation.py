@@ -3,8 +3,9 @@
 The properties `docs/tenancy.md` promises: an untenanted envelope is
 byte-identical to the pre-tenant wire format, a corrupt tenant id is
 rejected at every boundary, two tenants serving the same family persist
-distinct records and warm-hit only their own, tenant-scoped eviction and
-invalidation of A leave B warm, and a tenant over quota gets
+distinct records and warm-hit only their own, tenant-scoped eviction of A
+leaves B warm, tenant-scoped invalidation of A drops only A's stale
+records and leaves both warm, and a tenant over quota gets
 ``QuotaExceededError`` while another tenant keeps serving.
 """
 
@@ -79,22 +80,16 @@ class TestWireTenantField:
         decoded = protocol.decode_message(join_container(head))
         assert decoded.tenant == "acme"
 
-    def test_control_messages_round_trip(self):
-        call = round_trip(
-            protocol.ControlCall(
-                request_id=3, action=protocol.CONTROL_INVALIDATE, tenant="acme"
-            )
+    def test_a_control_frame_is_an_unknown_message_type(self):
+        # Maintenance never crosses the wire: the control message that
+        # once carried a tenant-scoped invalidation is gone.
+        head, _ = split_container(
+            protocol.encode_message(protocol.PingCall(request_id=3))
         )
-        assert (call.action, call.tenant) == (protocol.CONTROL_INVALIDATE, "acme")
-        # Warm-up is routed serving now, not a control action.
-        head, _ = split_container(protocol.encode_message(call))
-        head["payload"]["action"] = "warmup"
-        with pytest.raises(ProtocolError, match="unknown control action"):
+        head["type"] = "control"
+        head["payload"] = {"request_id": 3, "action": "invalidate", "tenant": "acme"}
+        with pytest.raises(ProtocolError, match="unknown message type 'control'"):
             protocol.decode_message(join_container(head))
-        reply = round_trip(
-            protocol.ControlReply(request_id=3, report={"kind": "invalidation"})
-        )
-        assert reply.report == {"kind": "invalidation"}
 
     def test_stats_tenant_breakdown_round_trips_and_degrades(self):
         block = {
@@ -191,16 +186,18 @@ class TestServerIsolation:
     def test_tenant_scoped_invalidation_leaves_the_other_warm(self, server):
         for tenant in ("a", "b"):
             server.serve(REQUEST, tenant=tenant)
-        # Age tenant a's record so only a's namespace has anything stale.
-        key_a = next(
-            key for key, record in server.db.records().items()
-            if record.tenant == "a"
-        )
-        stale = dataclasses.replace(server.db.records()[key_a], tuner_version=0)
+        live = server.db.records()
+        # Age a copy of tenant a's record so only a's namespace has
+        # anything stale.
+        record_a = next(record for record in live.values() if record.tenant == "a")
+        stale = dataclasses.replace(record_a, tuner_version=0)
         server.db.store(stale)
         report = server.invalidate(tenant="a")
         assert report.stale_version == 1
-        assert not server.serve(REQUEST, tenant="a").warm
+        assert [entry.db_key for entry in report.stale] == [stale.key()]
+        assert server.db.records() == live
+        assert {record.tenant for record in live.values()} == {"a", "b"}
+        assert server.serve(REQUEST, tenant="a").warm
         assert server.serve(REQUEST, tenant="b").warm
 
 
