@@ -75,7 +75,6 @@ def _shut_down_listener(address, thread):
                     request_id=1,
                     protocol_version=protocol.PROTOCOL_VERSION,
                     shard_id=-1,
-                    trust=protocol.TRUST_SOURCE,
                 )
             )
         )

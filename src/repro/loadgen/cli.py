@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.gpu.device import DEVICES
 from repro.obs import Tracer, configure_logging, instant_event, write_chrome_trace
-from repro.serve import protocol
+from repro.serve.cli import shard_layout
 from repro.serve.server import KernelServer
 from repro.serve.supervisor import ShardSupervisor
 from repro.tenancy import DEFAULT_TENANT
@@ -173,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay against; repeatable or comma-separated",
     )
     cluster.add_argument(
-        "--trust",
-        choices=(protocol.TRUST_SOURCE, protocol.TRUST_PICKLED),
-        default=protocol.TRUST_SOURCE,
-        help="transport trust requested from --connect shards (default source)",
-    )
-    cluster.add_argument(
         "--db", metavar="PATH", default=None, help="persistent tuning database file"
     )
     cluster.add_argument(
@@ -257,18 +251,6 @@ def _list_suites() -> int:
         print(f"{suite.name:<16} {len(suite.specs)} specs — {suite.description}")
     print(f"{MIXED:<16} every suite above, equally weighted")
     return 0
-
-
-def _connect_addresses(args: argparse.Namespace) -> tuple[str, ...]:
-    """Flatten repeated/comma-separated ``--connect`` values."""
-    if not args.connect:
-        return ()
-    return tuple(
-        part.strip()
-        for value in args.connect
-        for part in value.split(",")
-        if part.strip()
-    )
 
 
 def _resolve_trace(args: argparse.Namespace):
@@ -407,7 +389,6 @@ def _run_sharded(
         devices=(args.device,),
         workers=args.workers,
         connect=connect,
-        remote_trust=args.trust,
         tracer=Tracer(sample_rate=1.0) if args.trace else None,
     )
     try:
@@ -449,10 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.log_level, json_lines=args.log_json)
     if args.list_suites:
         return _list_suites()
-    connect = _connect_addresses(args)
-    shards = args.shards if args.shards is not None else (0 if connect else 1)
-    if shards < 0 or (shards == 0 and not connect):
-        print(f"error: shard count must be positive, got {shards}", file=sys.stderr)
+    try:
+        shards, connect = shard_layout(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         trace = _resolve_trace(args)

@@ -28,11 +28,11 @@ families across server processes:
 * :mod:`repro.serve.protocol` — the wire protocol
   (``ServeCall``/``ServeReply``/``StatsCall``/...; one binary-frame
   container; artifacts as source text or pickled ``python_exec`` kernels;
-  the hello handshake and trust levels);
+  the hello handshake);
 * :mod:`repro.serve.shard` — :class:`ShardRouter` (consistent hashing of
   (kernel-family fingerprint, device) onto shards), the shard process
   main loop, and :func:`serve_shard_tcp` (the same loop behind a TCP
-  listener, source-only trust by default);
+  listener, whose replies are source text only);
 * :mod:`repro.serve.supervisor` — :class:`ShardSupervisor`: spawns,
   monitors and restores shards (local processes and remote TCP
   listeners alike), the local ones sharing one tuning-database file;
@@ -67,8 +67,6 @@ from repro.serve.metrics import MetricsSnapshot, ServerMetrics, WireSnapshot
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_2,
-    TRUST_PICKLED,
-    TRUST_SOURCE,
     ShardStats,
 )
 from repro.serve.server import KernelServer, ServeRequest, ServeResult
@@ -87,8 +85,6 @@ __all__ = [
     "ServeResult",
     "PROTOCOL_VERSION",
     "PROTOCOL_VERSION_2",
-    "TRUST_SOURCE",
-    "TRUST_PICKLED",
     "ShardStats",
     "WireSnapshot",
     "ShardRouter",

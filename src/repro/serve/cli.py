@@ -26,7 +26,7 @@ Examples::
     # the same demo served across two shard processes, stats aggregated
     python -m repro.serve --shards 2 --demo --stats
 
-    # a TCP shard listener (source-only trust unless --trust pickled)
+    # a TCP shard listener (its replies carry kernel source, not pickles)
     python -m repro.serve --listen 127.0.0.1:7401 --db shard0.json
 
     # a supervisor over two remote shards (no local shard processes)
@@ -57,12 +57,11 @@ from repro.obs.promtext import render_cluster_metrics, render_server_metrics
 from repro.tenancy import DEFAULT_TENANT
 from repro.tune.db import TuningDatabase
 from repro.tune.space import BLAS, NTT
-from repro.serve import protocol
 from repro.serve.server import KernelServer, ServeRequest
 from repro.serve.shard import serve_shard_tcp
 from repro.serve.supervisor import ShardSupervisor
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "shard_layout"]
 
 #: Requests fired by a bare ``--demo`` (no count given).
 DEFAULT_DEMO_REQUESTS = 16
@@ -102,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="[HOST:]PORT",
         help="run this process as a TCP shard listener instead of a "
-        "supervisor (combines with --db/--devices/--workers/--shard-id/"
-        "--trust; excludes every other action)",
+        "supervisor (combines with --db/--devices/--workers/--shard-id; "
+        "excludes every other action)",
     )
     parser.add_argument(
         "--shard-id",
@@ -112,24 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="with --listen: the shard id announced before a supervisor "
         "assigns one",
-    )
-    parser.add_argument(
-        "--trust",
-        choices=(protocol.TRUST_SOURCE, protocol.TRUST_PICKLED),
-        default=protocol.TRUST_SOURCE,
-        help="transport trust for TCP shards: with --listen, the most this "
-        "shard grants; with --connect, the level requested from remotes. "
-        "'source' (default) ships artifacts as source text only; 'pickled' "
-        "allows executable python_exec pickles between machines that "
-        "explicitly trust each other",
-    )
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=2,
-        metavar="N",
-        help="with --connect: keep-alive connections per remote shard "
-        "(default 2)",
     )
     parser.add_argument(
         "--devices",
@@ -415,27 +396,35 @@ def _main_single(args: argparse.Namespace) -> int:
     return 0
 
 
-def _connect_addresses(args: argparse.Namespace) -> tuple[str, ...]:
-    """Flatten repeated/comma-separated ``--connect`` values."""
-    if not args.connect:
-        return ()
-    return tuple(
+def shard_layout(args: argparse.Namespace) -> tuple[int, tuple[str, ...]]:
+    """The ring ``--shards`` and ``--connect`` name: ``(local shards, remotes)``.
+
+    ``--connect`` is repeatable and comma-separated.  ``--shards`` defaults
+    to one in-process server, or to no local shards when ``--connect``
+    supplies the ring; a ring without a shard raises :class:`ValueError`.
+    Both ``repro.serve`` and ``repro.loadgen`` read their ring here.
+    """
+    connect = tuple(
         part.strip()
-        for value in args.connect
+        for value in args.connect or ()
         for part in value.split(",")
         if part.strip()
     )
+    shards = args.shards if args.shards is not None else (0 if connect else 1)
+    if shards < 0 or (shards == 0 and not connect):
+        raise ValueError(f"shard count must be positive, got {shards}")
+    return shards, connect
 
 
-def _main_sharded(args: argparse.Namespace, shards: int) -> int:
+def _main_sharded(
+    args: argparse.Namespace, shards: int, connect: tuple[str, ...]
+) -> int:
     supervisor = ShardSupervisor(
         shards=shards,
         db=args.db,
         devices=tuple(args.devices),
         workers=args.workers,
-        connect=_connect_addresses(args),
-        remote_trust=args.trust,
-        pool=args.pool,
+        connect=connect,
         tracer=_build_tracer(args),
     )
     endpoint = None
@@ -485,11 +474,7 @@ def _main_listen(args: argparse.Namespace) -> int:
         return 2
 
     def announce(bound: tuple[str, int]) -> None:
-        print(
-            f"shard {args.shard_id} listening on {bound[0]}:{bound[1]} "
-            f"(trust: {args.trust})",
-            flush=True,
-        )
+        print(f"shard {args.shard_id} listening on {bound[0]}:{bound[1]}", flush=True)
 
     try:
         serve_shard_tcp(
@@ -499,7 +484,6 @@ def _main_listen(args: argparse.Namespace) -> int:
             devices=tuple(args.devices),
             db_path=args.db,
             workers=args.workers,
-            trust=args.trust,
             on_bound=announce,
             metrics_port=args.metrics_port,
         )
@@ -512,14 +496,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(args.log_level, json_lines=args.log_json)
-    connect = _connect_addresses(args)
     if args.listen is not None:
         if (
             args.warmup
             or args.invalidate
             or args.once
             or args.demo
-            or connect
+            or args.connect
             or args.trace
         ):
             print(
@@ -537,16 +520,15 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.warmup or args.invalidate or args.once or args.demo or args.stats):
         build_parser().print_help()
         return 2
-    # --shards defaults to one in-process server, or to no local shards
-    # when --connect supplies the ring.
-    shards = args.shards if args.shards is not None else (0 if connect else 1)
-    if shards < 0 or (shards == 0 and not connect):
-        print(f"error: shard count must be positive, got {shards}", file=sys.stderr)
+    try:
+        shards, connect = shard_layout(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         if shards == 1 and not connect:
             return _main_single(args)
-        return _main_sharded(args, shards)
+        return _main_sharded(args, shards, connect)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -34,10 +34,8 @@ Message types (each a frozen dataclass):
 * :class:`PingCall` / :class:`PongReply` — liveness probe used by the
   supervisor's monitor.
 * :class:`HelloCall` / :class:`HelloReply` — the handshake every link opens
-  with: the supervisor's first frame pins the protocol version, assigns
-  the shard its ring id for the session, and requests a trust level; the
-  shard grants the weaker of the requested level and its own policy
-  (:func:`negotiate_trust`).
+  with: the supervisor's first frame pins the protocol version and assigns
+  the shard its ring id for the session.
 * :class:`ShutdownCall` — asks the shard to drain and exit cleanly.
 
 Maintenance never crosses the wire: warm-up and invalidation run in the
@@ -51,19 +49,19 @@ forms (:func:`encode_artifact` / :func:`decode_artifact`): ``"source"``
 :class:`~repro.core.codegen.python_exec.CompiledKernel`; the callable is
 re-exec'd from its source on arrival).  Both ends do the pickle work once
 per kernel, not once per reply: a live kernel object is pickled once and
-its bytes reused, and a trusted decode keeps the last
+its bytes reused, and a decode that allows pickles keeps the last
 :data:`DECODED_KERNELS` distinct frames' kernels, so a warm reply whose
 frame was seen before is a lookup, not an unpickle.
 
 Unpickling executes code, so ``decode_artifact`` only accepts
-``"pickled_kernel"`` payloads when the caller passes ``allow_pickled=True``
-— which the supervisor does on links whose handshake granted
-:data:`TRUST_PICKLED` (its own spawned shards, and TCP listeners where both
-operators opted in).  Shards never unpickle what they receive.  Everything
-else runs **source-only** (:data:`TRUST_SOURCE`, the cross-machine default):
-executable artifacts are downgraded to their generated source text before
-the wire (:func:`source_only_result`) and pickled payloads are rejected on
-arrival.
+``"pickled_kernel"`` payloads when the caller passes ``allow_pickled=True``.
+Which links carry executable kernels is fixed by how the link was opened,
+so neither end asks the other: the supervisor allows pickles only on the
+socketpair to a shard it spawned itself.  A TCP link is **source-only**:
+the listener downgrades executable artifacts to their generated source
+text before the wire (:func:`source_only_result`), and the supervisor
+rejects pickled payloads on arrival.  Shards never unpickle what they
+receive.
 
 Optional payload fields are additive: ``trace``, ``deadline_ms`` and
 ``tenant`` on a call, and ``tenants`` and ``spans`` on a stats reply, are
@@ -97,8 +95,6 @@ __all__ = [
     "PROTOCOL_VERSION_2",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
-    "TRUST_SOURCE",
-    "TRUST_PICKLED",
     "ServeCall",
     "ServeReply",
     "ErrorReply",
@@ -110,7 +106,6 @@ __all__ = [
     "HelloCall",
     "HelloReply",
     "ShutdownCall",
-    "negotiate_trust",
     "encode_artifact",
     "decode_artifact",
     "decoded_kernel_stats",
@@ -139,35 +134,6 @@ _ENVELOPE_KEY = "moma-serve"
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
-# -- transport trust levels --------------------------------------------------
-
-#: Source-only transport: executable artifacts cross as generated source
-#: text; pickled payloads are rejected.  The cross-machine default.
-TRUST_SOURCE = "source"
-
-#: Fully trusted transport: ``python_exec`` artifacts cross as executable
-#: pickles.  The supervisor's own spawned shards grant it; a TCP listener
-#: grants it only when its operator allows it *and* the supervisor asks.
-TRUST_PICKLED = "pickled"
-
-_TRUST_LEVELS = (TRUST_SOURCE, TRUST_PICKLED)
-
-
-def negotiate_trust(requested: str, policy: str) -> str:
-    """The trust level a connection runs at: the weaker of the two sides.
-
-    ``requested`` is what the supervisor's hello asks for; ``policy`` is the
-    most the shard's operator allows for this listener.  Unknown levels are
-    a protocol violation, not a silent downgrade.
-    """
-    for level in (requested, policy):
-        if level not in _TRUST_LEVELS:
-            raise ProtocolError(f"unknown transport trust level {level!r}")
-    if requested == TRUST_PICKLED and policy == TRUST_PICKLED:
-        return TRUST_PICKLED
-    return TRUST_SOURCE
-
-
 # -- artifact encodings ------------------------------------------------------
 
 SOURCE_ENCODING = "source"
@@ -183,8 +149,9 @@ DECODED_KERNELS = 32
 # one kernel at worst pickle it twice.
 _PICKLED: dict[int, tuple[weakref.ref, bytes]] = {}
 
-# Executable kernels decoded on trusted links, by frame bytes: an identical
-# frame returns the kernel decoded earlier, without an unpickle or an exec.
+# Executable kernels decoded where pickles are allowed, by frame bytes: an
+# identical frame returns the kernel decoded earlier, without an unpickle or
+# an exec.
 _DECODED = ContentAddressedCache(DECODED_KERNELS)
 
 
@@ -249,8 +216,8 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> ob
     """Rebuild an artifact from its wire form and the message's ``frames``.
 
     ``allow_pickled`` gates the ``pickled_kernel`` encoding: unpickling
-    executes code, so it must only be enabled on links whose handshake
-    granted :data:`TRUST_PICKLED`.  That check comes first; only then is
+    executes code, so it must only be enabled on the socketpair to a shard
+    the caller spawned itself.  That check comes first; only then is
     the frame looked up among the last :data:`DECODED_KERNELS` distinct
     frames decoded, and an identical one returns the same kernel object.
     A frame that fails to unpickle to a kernel is never kept.
@@ -273,7 +240,7 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> ob
         if not allow_pickled:
             raise ProtocolError(
                 "refusing to unpickle a kernel artifact from an untrusted "
-                "transport (only links granted pickled trust may)"
+                "transport (only a spawned shard's socketpair may carry one)"
             )
         return _unpickled(body)
     raise ProtocolError(f"unknown artifact encoding {encoding!r}")
@@ -282,9 +249,9 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> ob
 def source_only_result(result: ServeResult) -> ServeResult:
     """``result`` with any executable artifact downgraded to source text.
 
-    What a shard applies to every reply on a :data:`TRUST_SOURCE` transport:
-    the receiver gets the kernel's generated source (inspectable, compilable
-    on its own side) instead of an executable pickle it would have to trust.
+    What a TCP listener applies to every reply: the receiver gets the
+    kernel's generated source (inspectable, compilable on its own side)
+    instead of an executable pickle it would have to trust.
     Source-text artifacts pass through unchanged.
     """
     if isinstance(result.artifact, CompiledKernel):
@@ -510,32 +477,27 @@ class HelloCall:
     """The supervisor's first frame on every fresh link.
 
     Pins the protocol version explicitly (a version mismatch must fail
-    *before* any payload is trusted), assigns the shard the ring id it
-    answers as for this session, and requests a transport trust level
-    (:data:`TRUST_SOURCE` / :data:`TRUST_PICKLED`).
+    *before* any payload is trusted) and assigns the shard the ring id it
+    answers as for this session.
     """
 
     request_id: int
     protocol_version: int
     shard_id: int
-    trust: str
 
 
 @dataclass(frozen=True)
 class HelloReply:
-    """The shard's acceptance: its identity and the *granted* trust level.
+    """The shard's acceptance: its identity and protocol version.
 
-    ``trust`` is :func:`negotiate_trust` of the supervisor's request and the
-    listener's policy — both sides must honour it for every later frame on
-    the connection.  The reply is the shard's first answer, so the
-    supervisor's liveness deadline runs from it.
+    The reply is the shard's first answer, so the supervisor's liveness
+    deadline runs from it.
     """
 
     request_id: int
     shard_id: int
     pid: int
     protocol_version: int
-    trust: str
 
 
 @dataclass(frozen=True)
@@ -650,8 +612,6 @@ def _decode_tenant_field(value) -> str:
 
 def _validate_hello(message):
     """Shared field validation for both handshake directions."""
-    if message.trust not in _TRUST_LEVELS:
-        raise ProtocolError(f"unknown transport trust level {message.trust!r}")
     for name in ("request_id", "protocol_version", "shard_id"):
         if not isinstance(getattr(message, name), int):
             raise ProtocolError(f"handshake field {name!r} must be an integer")

@@ -151,12 +151,13 @@ class ServeRequest:
         )
 
     def key(self) -> str:
-        """The serve key: requests with equal keys share one served kernel."""
+        """The serve key: requests with equal keys share one served kernel.
+
+        The workload key already names a non-default modulus, so
+        ``modulus_bits=None`` and ``modulus_bits=bits - 4`` share one key.
+        """
         mode = "tuned" if self.tune else f"pin-{self.multiplication}-w{self.word_bits}"
-        return (
-            f"{self.workload().key}::m{self.modulus_bits}"
-            f"::{self.device}::{self.target}::{mode}"
-        )
+        return f"{self.workload().key}::{self.device}::{self.target}::{mode}"
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,17 @@ Three parts live here:
   blocks a shard's warm traffic.
 * :func:`serve_shard_tcp` — the same serve loop behind a TCP listener, for
   shards on other machines.  The listener accepts **concurrent supervisor
-  connections** (one session thread each over the shared server — this is
-  what backs the supervisor's per-shard connection pool).  When a
+  connections** (one session thread each over the shared server).  When a
   supervisor disconnects, the shard keeps its warm state and goes back to
   accepting, so a restarted supervisor reconnects to a hot shard.
 
 Every session, local or remote, starts with a
-:class:`~repro.serve.protocol.HelloCall` handshake that negotiates the
-transport trust level (pickled for a spawned shard; source-only by default
-on a listener: executable artifacts are downgraded to source text — see
-``docs/wire-protocol.md``).  Trust only governs what a shard *sends*: a
-shard never unpickles what it receives.
+:class:`~repro.serve.protocol.HelloCall` handshake that pins the protocol
+version and the shard's ring id.  What a shard sends follows from how the
+link was opened: a spawned shard answers its supervisor with executable
+kernels, and a TCP listener downgrades every executable artifact to its
+source text (see ``docs/wire-protocol.md``).  A shard never unpickles what
+it receives.
 
 Every local shard opens the supervisor's tuning-database file itself and
 saves its winners into it through the database's merge-on-save, whose lock
@@ -180,16 +180,15 @@ def _serve_connection(
     connection,
     shard_id: int,
     server: KernelServer,
-    trusted: bool,
+    source_only: bool,
 ) -> bool:
     """Serve one supervisor link until shutdown or disconnect.
 
     ``connection`` is a :class:`~repro.serve.protocol.StreamConnection`.
     Incoming frames are always decoded with ``allow_pickled=False``: a
-    shard never unpickles what it receives.  ``trusted`` is the link's
-    granted trust and governs only what the shard sends: on a source-only
-    link every outgoing executable artifact is downgraded to its source
-    text (:func:`~repro.serve.protocol.source_only_result`).
+    shard never unpickles what it receives.  ``source_only`` governs only
+    what the shard sends: every outgoing executable artifact is downgraded
+    to its source text (:func:`~repro.serve.protocol.source_only_result`).
 
     Returns ``True`` if a :class:`~repro.serve.protocol.ShutdownCall` asked
     the shard to exit, ``False`` if the supervisor merely went away (EOF or
@@ -220,7 +219,7 @@ def _serve_connection(
                         f"result ready {late_s * 1e3:.1f} ms past its "
                         f"deadline; shedding"
                     )
-            if not trusted:
+            if source_only:
                 result = protocol.source_only_result(result)
             message = protocol.ServeReply(request_id=request_id, result=result)
         except BaseException as error:  # noqa: BLE001 - relayed over the wire
@@ -353,28 +352,27 @@ def run_shard(
 
     The server is built *before* the hello is answered, so the supervisor's
     liveness deadline never counts start-up.  The supervisor spawned this
-    very process, so the link may be granted pickled trust: executable
-    artifacts cross as pickles.  A
+    very process and alone holds the other end of the socketpair, so
+    executable artifacts cross as pickles.  A
     :class:`~repro.serve.protocol.ShutdownCall` — or the supervisor closing
     its end — drains the server and exits.
     """
     connection = protocol.StreamConnection(sock)
     server = KernelServer(db=TuningDatabase(db_path), devices=devices, workers=workers)
     try:
-        _serve_session(connection, shard_id, server, protocol.TRUST_PICKLED)
+        _serve_session(connection, shard_id, server, source_only=False)
     finally:
         server.close()
         connection.close()
 
 
-def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
-    """Validate a fresh link's hello; returns ``(session shard id, granted trust)``.
+def _accept_handshake(connection, default_shard_id: int) -> int:
+    """Validate a fresh link's hello; returns the session's shard id.
 
     The first frame must be a :class:`~repro.serve.protocol.HelloCall`
     pinning :data:`~repro.serve.protocol.PROTOCOL_VERSION`; anything else —
     a stale supervisor, a port scanner, a version-skewed build — raises
-    :class:`~repro.errors.ProtocolError` here.  The granted trust is the
-    weaker of the supervisor's request and this shard's policy.
+    :class:`~repro.errors.ProtocolError` here.
     """
     message = protocol.decode_message(connection.recv_bytes())
     if not isinstance(message, protocol.HelloCall):
@@ -386,7 +384,6 @@ def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
             f"handshake pins protocol version {message.protocol_version}, "
             f"this shard speaks {protocol.PROTOCOL_VERSION}"
         )
-    granted = protocol.negotiate_trust(message.trust, trust_policy)
     shard_id = message.shard_id if message.shard_id >= 0 else default_shard_id
     connection.send_bytes(
         protocol.encode_message(
@@ -395,14 +392,13 @@ def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
                 shard_id=shard_id,
                 pid=os.getpid(),
                 protocol_version=protocol.PROTOCOL_VERSION,
-                trust=granted,
             )
         )
     )
-    return shard_id, granted
+    return shard_id
 
 
-def _serve_session(connection, shard_id: int, server: KernelServer, trust_policy: str) -> bool:
+def _serve_session(connection, shard_id: int, server: KernelServer, source_only: bool) -> bool:
     """Handshake a fresh link within :data:`HANDSHAKE_TIMEOUT_S`, then serve it.
 
     A refused handshake gets a best-effort
@@ -412,7 +408,7 @@ def _serve_session(connection, shard_id: int, server: KernelServer, trust_policy
     """
     try:
         connection.settimeout(HANDSHAKE_TIMEOUT_S)
-        session_id, granted = _accept_handshake(connection, shard_id, trust_policy)
+        session_id = _accept_handshake(connection, shard_id)
         connection.settimeout(None)
     except ProtocolError as error:
         _LOG.warning("shard %d refused a handshake: %s", shard_id, error)
@@ -425,10 +421,8 @@ def _serve_session(connection, shard_id: int, server: KernelServer, trust_policy
         return False
     except (EOFError, OSError):
         return False
-    _LOG.info("shard %d accepted a supervisor session (trust %s)", session_id, granted)
-    return _serve_connection(
-        connection, session_id, server, trusted=granted == protocol.TRUST_PICKLED
-    )
+    _LOG.info("shard %d accepted a supervisor session", session_id)
+    return _serve_connection(connection, session_id, server, source_only)
 
 
 def serve_shard_tcp(
@@ -438,7 +432,6 @@ def serve_shard_tcp(
     devices: tuple[str, ...] = ("rtx4090",),
     db_path=None,
     workers: int = 4,
-    trust: str = protocol.TRUST_SOURCE,
     on_bound=None,
     metrics_port: int | None = None,
 ) -> None:
@@ -449,15 +442,13 @@ def serve_shard_tcp(
     the whole listener lifetime, so its resident
     table and kernel cache stay warm across supervisor reconnects.  The
     listener accepts **concurrent supervisor connections** — each runs its
-    own session thread over the shared server, which is what lets a
-    supervisor keep a small connection pool per shard.  Each accepted
-    socket must complete a :func:`handshake <_accept_handshake>` within
-    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version, adopting the
-    supervisor-assigned ring id, and negotiating trust — ``trust`` is the
-    most this listener's operator allows, :data:`~repro.serve.protocol.TRUST_SOURCE`
-    by default so cross-machine serving never ships executable pickles).
-    A failed handshake or a supervisor disconnect ends only that session;
-    a :class:`~repro.serve.protocol.ShutdownCall` on *any* session closes
+    own session thread over the shared server.  Each accepted socket must
+    complete a :func:`handshake <_accept_handshake>` within
+    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version and adopting
+    the supervisor-assigned ring id).  Every reply is source-only, so
+    serving over TCP never ships executable pickles.  A failed handshake
+    or a supervisor disconnect ends only that session; a
+    :class:`~repro.serve.protocol.ShutdownCall` on *any* session closes
     the listener, drains every session, and exits.
 
     ``port=0`` binds an ephemeral port; ``on_bound`` (if given) is called
@@ -516,7 +507,7 @@ def serve_shard_tcp(
             pass
 
     def session(connection) -> None:
-        asked_to_stop = _serve_session(connection, shard_id, server, trust)
+        asked_to_stop = _serve_session(connection, shard_id, server, source_only=True)
         connection.close()
         if asked_to_stop:
             # Unblock the accept loop; it tears everything else down.
@@ -527,11 +518,10 @@ def serve_shard_tcp(
         listener.listen(16)
         bound_address.append(listener.getsockname()[:2])
         _LOG.info(
-            "shard %d listening on %s:%d (trust policy %s)",
+            "shard %d listening on %s:%d",
             shard_id,
             bound_address[0][0],
             bound_address[0][1],
-            trust,
         )
         if on_bound is not None:
             on_bound(bound_address[0])

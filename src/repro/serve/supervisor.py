@@ -15,12 +15,13 @@ unchanged):
   (:func:`repro.atomic_files.path_lock`) holds across processes.
   ``connect=("host:port", ...)`` adds
   shards served by :func:`~repro.serve.shard.serve_shard_tcp` listeners
-  (other machines, or just other processes) to the same ring.  Every link,
-  local or remote, is a :class:`~repro.serve.protocol.StreamConnection`
-  that opens with the same hello: it pins the protocol version, assigns
-  the ring id, and negotiates transport trust (pickled for spawned shards,
-  source-only by default for remote ones: no executable pickles cross
-  machines).
+  (other machines, or just other processes) to the same ring.  Every shard
+  has one link, local or remote, a
+  :class:`~repro.serve.protocol.StreamConnection` that opens with the same
+  hello: it pins the protocol version and assigns the ring id.  How the
+  link was opened decides what it carries, without asking the peer: the
+  socketpair to a spawned shard carries executable kernels, a TCP link
+  source text only (no executable pickles cross machines).
 * **Routing** — a :class:`~repro.serve.shard.ShardRouter` consistent-hashes
   each request's (kernel-family fingerprint, device) onto a shard; all
   traffic for one family lands on one shard and enjoys its resident table
@@ -28,12 +29,11 @@ unchanged):
 * **The fast wire** — each link is a :class:`_Link` whose sender thread
   coalesces every call queued since its last flush into one write
   (out-of-order replies already correlate by ``request_id``, so batching
-  the write path changes no semantics).  Remote shards get a small
-  keep-alive connection *pool*; wire-path costs (encode/decode/route/flush
-  time, bytes, messages-per-flush) are profiled into
-  :attr:`ClusterStats.wire`.
+  the write path changes no semantics).  Wire-path costs
+  (encode/decode/route/flush time, bytes, messages-per-flush) are profiled
+  into :attr:`ClusterStats.wire`.
 * **Liveness & recovery** — every link pings its shard every
-  :data:`_PING_INTERVAL_S`; a shard is live while its readers run and its
+  :data:`_PING_INTERVAL_S`; a shard is live while its reader runs and its
   last pong is younger than :data:`_PING_TIMEOUT_S`.  The monitor recovers
   a shard that is not: it leaves the ring (its keys rebalance to ring
   successors), its pending requests re-route, and it is restored — a local
@@ -288,19 +288,22 @@ class _Link:
 
 
 class _ShardHandle:
-    """One shard: its links, pending futures, and how to restore it.
+    """One shard: its link, pending futures, and how to restore it.
 
     A local shard has the ``process`` this supervisor spawned; a remote
     shard has the ``address`` of its listener.  Either way the shard is
-    live while its link readers run and its last pong (or hello reply) is
+    live while its link's reader runs and its last pong (or hello reply) is
     younger than :data:`_PING_TIMEOUT_S`.
     """
 
     def __init__(self, shard_id: int, address: tuple[str, int] | None = None) -> None:
         self.shard_id = shard_id
         self.address = address
+        # Only the socketpair to a process this supervisor spawned may carry
+        # executable kernels; a TCP link is source-only.
+        self.allow_pickled = address is None
         self.process = None
-        self.links: list[_Link] = []
+        self.link: _Link | None = None
         # request_id -> (tenant, request, future, trace handle, deadline_ms);
         # tenant and request are None for stats and ping probes, the trace
         # handle None when untraced, the deadline None when the caller set
@@ -318,35 +321,32 @@ class _ShardHandle:
         self.pending_lock = threading.Lock()
         self.restarts = 0
         self.next_restart_at = 0.0  # monotonic; 0.0 = restore immediately
-        self.trusted = False  # until a handshake grants pickled trust
-        self.reader_done = True  # no link yet
         self.last_pong = 0.0
-        self._round_robin = 0
 
     @property
     def connection(self):
-        """The primary link's transport (``None`` while the shard is down)."""
-        links = self.links
-        return links[0].connection if links else None
+        """The link's transport (``None`` while the shard is down)."""
+        link = self.link
+        return link.connection if link is not None else None
 
     def enqueue(self, data: bytes) -> None:
-        """Queue a frame on the next pool link, round-robin."""
-        links = self.links
-        if not links:
+        """Queue a frame on the shard's link."""
+        link = self.link
+        if link is None:
             raise OSError("shard connection is down")
-        self._round_robin = (self._round_robin + 1) % len(links)
-        links[self._round_robin].enqueue(data)
+        link.enqueue(data)
 
-    def drop_links(self) -> None:
-        """Close every link (idempotent); senders and readers unblock."""
-        links, self.links = self.links, []
-        for link in links:
+    def drop_link(self) -> None:
+        """Close the link (idempotent); its sender and reader unblock."""
+        link, self.link = self.link, None
+        if link is not None:
             link.close()
 
     def alive(self) -> bool:
+        link = self.link
         return (
-            bool(self.links)
-            and not self.reader_done
+            link is not None
+            and link.reader.is_alive()
             and time.monotonic() - self.last_pong <= _PING_TIMEOUT_S
         )
 
@@ -397,19 +397,11 @@ class ShardSupervisor:
         connect: remote shard addresses (``"host:port"`` strings or
             ``(host, port)`` pairs), each a
             :func:`~repro.serve.shard.serve_shard_tcp` listener.  Remote
-            ring ids continue after the local ones.
-        remote_trust: the trust level requested from remote shards in the
-            handshake — :data:`~repro.serve.protocol.TRUST_SOURCE` (the
-            default: artifacts arrive as source text, never executable
-            pickles) or :data:`~repro.serve.protocol.TRUST_PICKLED` for
-            listeners the operator explicitly trusts.  The granted level is
-            whatever the shard's own policy allows, never more.
+            ring ids continue after the local ones, and their artifacts
+            arrive as source text, never executable pickles.
         connect_timeout: how long to keep re-trying the initial connection
             to each remote shard before failing construction (listeners are
             often still starting when the supervisor comes up).
-        pool: keep-alive connections per remote shard.  Extra dials beyond
-            the first are best-effort — a shard that grants fewer
-            connections still serves over the ones it granted.
         tracer: the :class:`~repro.obs.trace.Tracer` sampling and retaining
             this supervisor's request traces.  Sampled requests carry their
             trace context to shards in the envelope's additive ``trace``
@@ -437,9 +429,7 @@ class ShardSupervisor:
         workers: int = 4,
         restart: bool = True,
         connect: tuple = (),
-        remote_trust: str = protocol.TRUST_SOURCE,
         connect_timeout: float = 10.0,
-        pool: int = 2,
         tracer: tracing.Tracer | None = None,
         tenants: tuple = (),
     ) -> None:
@@ -450,18 +440,12 @@ class ShardSupervisor:
             raise ServingError(f"shard count must be non-negative, got {shards}")
         if not devices:
             raise ServingError("a shard supervisor needs at least one device")
-        if remote_trust not in (protocol.TRUST_SOURCE, protocol.TRUST_PICKLED):
-            raise ServingError(f"unknown remote trust level {remote_trust!r}")
-        if pool < 1:
-            raise ServingError(f"connection pool size must be positive, got {pool}")
         if db is not None:
             TuningDatabase(db)  # an unreadable file fails here, not in every shard
         self.devices = tuple(devices)
         self.db_path = Path(db) if db is not None else None
         self.workers = workers
         self.restart = restart
-        self._remote_trust = remote_trust
-        self._pool = pool
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
         self._wire = WireProfile()
@@ -496,7 +480,7 @@ class ShardSupervisor:
             for handle in self._handles.values():
                 if handle.process is not None:
                     handle.process.terminate()
-                handle.drop_links()
+                handle.drop_link()
             for connection in spawned.values():
                 connection.close()
             raise
@@ -527,41 +511,38 @@ class ShardSupervisor:
     def _open_local(self, handle: _ShardHandle, connection) -> None:
         """Handshake a spawned shard's link and attach it."""
         try:
-            granted = self._handshake(
-                handle, connection, protocol.TRUST_PICKLED, _SPAWN_TIMEOUT_S
-            )
+            self._handshake(handle, connection, _SPAWN_TIMEOUT_S)
         except OSError as error:
             raise ServingError(
                 f"shard {handle.shard_id} did not answer its hello: {error}"
             ) from error
-        self._attach(handle, [connection], granted)
+        self._attach(handle, connection)
 
-    def _attach(self, handle: _ShardHandle, connections, granted: str) -> None:
-        """Make handshaken connections the shard's links, with their threads.
+    def _attach(self, handle: _ShardHandle, connection) -> None:
+        """Make a handshaken connection the shard's link, with its threads.
 
         The liveness deadline starts here, at the shard's first answer, so
-        a slow start-up never counts against it.
+        a slow start-up never counts against it.  The threads start before
+        the link is published, so a published link's reader always runs
+        until the link dies.
         """
-        handle.trusted = granted == protocol.TRUST_PICKLED
-        handle.reader_done = False
         handle.last_pong = time.monotonic()
-        links = [_Link(connection) for connection in connections]
-        handle.links = links
-        for link in links:
-            link.sender = threading.Thread(
-                target=self._send_loop,
-                args=(handle, link),
-                name=f"repro-shard-{handle.shard_id}-sender",
-                daemon=True,
-            )
-            link.reader = threading.Thread(
-                target=self._read_loop,
-                args=(handle, link),
-                name=f"repro-shard-{handle.shard_id}-reader",
-                daemon=True,
-            )
-            link.sender.start()
-            link.reader.start()
+        link = _Link(connection)
+        link.sender = threading.Thread(
+            target=self._send_loop,
+            args=(handle, link),
+            name=f"repro-shard-{handle.shard_id}-sender",
+            daemon=True,
+        )
+        link.reader = threading.Thread(
+            target=self._drain_replies,
+            args=(handle, connection),
+            name=f"repro-shard-{handle.shard_id}-reader",
+            daemon=True,
+        )
+        link.sender.start()
+        link.reader.start()
+        handle.link = link
 
     def _send_loop(self, handle: _ShardHandle, link: _Link) -> None:
         """Drain a link's outbox in whole batches — the coalescing flush.
@@ -617,17 +598,12 @@ class ShardSupervisor:
 
     # -- handshakes -----------------------------------------------------------
 
-    def _handshake(
-        self, handle: _ShardHandle, connection, trust: str, timeout: float
-    ) -> str:
-        """Send the hello on a fresh link; returns the granted trust level.
+    def _handshake(self, handle: _ShardHandle, connection, timeout: float) -> None:
+        """Send the hello on a fresh link and check the shard's reply.
 
-        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION`,
-        assigns the shard its ring id for this session, and requests
-        ``trust``.  The reply's granted trust is a *claim* by the peer, so
-        it is capped at what was requested: a malicious listener "granting"
-        pickled on a source-only link cannot make us unpickle its payloads.
-        A refused or malformed handshake closes the link and raises
+        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION` and
+        assigns the shard its ring id for this session.  A refused or
+        malformed handshake closes the link and raises
         :class:`~repro.errors.ServingError`; a transport failure closes it
         and re-raises the ``OSError``.
         """
@@ -639,7 +615,6 @@ class ShardSupervisor:
                         request_id=next(self._request_ids),
                         protocol_version=protocol.PROTOCOL_VERSION,
                         shard_id=handle.shard_id,
-                        trust=trust,
                     )
                 )
             )
@@ -663,18 +638,6 @@ class ShardSupervisor:
                 f"shard speaks protocol {reply.protocol_version}, "
                 f"this supervisor speaks {protocol.PROTOCOL_VERSION}"
             )
-        return protocol.negotiate_trust(trust, reply.trust)
-
-    def _dial(self, handle: _ShardHandle):
-        """One TCP connect + hello to a remote shard: ``(link, granted)``."""
-        sock = socket.create_connection(
-            handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
-        )
-        connection = protocol.StreamConnection(sock)
-        granted = self._handshake(
-            handle, connection, self._remote_trust, _CONNECT_ATTEMPT_TIMEOUT_S
-        )
-        return connection, granted
 
     def _connect_remote_until(self, handle: _ShardHandle, timeout: float) -> None:
         """Dial a remote shard, retrying until ``timeout`` (startup races).
@@ -704,39 +667,15 @@ class ShardSupervisor:
                 time.sleep(0.2)
 
     def _connect_remote(self, handle: _ShardHandle) -> None:
-        """Establish a remote shard's link pool; raises on primary failure.
-
-        The primary connection's handshake decides the session's trust.
-        Up to ``pool - 1`` extra keep-alive connections are dialed
-        **best-effort** (each with its own handshake): a failure, or an
-        extra connection granted a different trust, just stops pool growth.
-        """
-        primary, granted = self._dial(handle)
-        connections = [primary]
-        for _ in range(self._pool - 1):
-            try:
-                extra, extra_granted = self._dial(handle)
-            except (OSError, ServingError):
-                break  # serve over the links we already have
-            if extra_granted != granted:
-                extra.close()
-                break
-            connections.append(extra)
-        self._attach(handle, connections, granted)
+        """One TCP connect + hello to a remote shard, attached as its link."""
+        sock = socket.create_connection(
+            handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
+        )
+        connection = protocol.StreamConnection(sock)
+        self._handshake(handle, connection, _CONNECT_ATTEMPT_TIMEOUT_S)
+        self._attach(handle, connection)
 
     # -- per-shard reader ---------------------------------------------------
-
-    def _read_loop(self, handle: _ShardHandle, link: _Link) -> None:
-        try:
-            self._drain_replies(handle, link.connection)
-        finally:
-            # Only a reader of a *current* link may declare the handle dead
-            # — a late exit of a replaced link's reader must not shoot down
-            # its successor.  Any one pool link dying declares the whole
-            # handle dead: its queued frames are unrecoverable, so recovery
-            # re-routes everything pending and restores every link.
-            if link in handle.links:
-                handle.reader_done = True
 
     def _drain_replies(self, handle: _ShardHandle, connection) -> None:
         while True:
@@ -752,7 +691,7 @@ class ShardSupervisor:
             try:
                 decode_started = time.perf_counter()
                 message = protocol.decode_message(
-                    data, allow_pickled=handle.trusted
+                    data, allow_pickled=handle.allow_pickled
                 )
                 self._wire.record_receive(
                     len(data), time.perf_counter() - decode_started
@@ -825,13 +764,13 @@ class ShardSupervisor:
                     handle.restarts = 0
 
     def _take_down(self, handle: _ShardHandle) -> None:
-        """Take a shard off the ring, close its links, kill its process.
+        """Take a shard off the ring, close its link, kill its process.
 
         The kill matters for a hung local process: it never sees EOF, so
         it would never exit on its own.
         """
         self.router.remove_shard(handle.shard_id)
-        handle.drop_links()
+        handle.drop_link()
         process = handle.process
         if process is not None and process.is_alive():
             process.kill()
@@ -849,11 +788,12 @@ class ShardSupervisor:
         startup — a corrupt environment, an import error — is retried at a
         bounded rate instead of in a tight loop.
         """
-        if handle.links:
+        link = handle.link
+        if link is not None:
             _LOG.warning(
                 "shard %d %s; rebalancing its keys to ring successors",
                 handle.shard_id,
-                "lost its link" if handle.reader_done else "missed its ping deadline",
+                "missed its ping deadline" if link.reader.is_alive() else "lost its link",
             )
         self._take_down(handle)
         self._reroute(handle, handle.take_pending())
@@ -1058,7 +998,7 @@ class ShardSupervisor:
         """Chaos-engineering hook: take one shard down mid-traffic.
 
         A local shard's process is terminated outright; a remote shard's
-        connections are dropped (its listener stays up, so the monitor's
+        connection is dropped (its listener stays up, so the monitor's
         re-dial brings it back).  Either way the normal failure machinery
         takes over: pending work re-routes to ring successors, and — with
         ``restart`` enabled — the shard respawns or reconnects on the
@@ -1076,8 +1016,9 @@ class ShardSupervisor:
         if handle.process is not None:
             handle.process.terminate()
         else:
-            for link in list(handle.links):
-                self._poison(link.connection)
+            connection = handle.connection
+            if connection is not None:
+                self._poison(connection)
 
     # -- probes / stats -----------------------------------------------------
 
@@ -1250,7 +1191,7 @@ class ShardSupervisor:
             for _tenant, _, future, _trace, _deadline in handle.take_pending().values():
                 if not future.done():
                     _resolve(future, error=ServingError("shard supervisor closed"))
-            handle.drop_links()
+            handle.drop_link()
 
     def __enter__(self) -> ShardSupervisor:
         return self

@@ -22,7 +22,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from repro.errors import ServingError
+from repro.errors import KernelError, ServingError, TuningError
 from repro.tenancy import DEFAULT_TENANT, validate_tenant
 from repro.tune.db import TUNER_VERSION, TuningRecord
 from repro.tune.space import BLAS, NTT
@@ -53,7 +53,10 @@ def request_from_record(record: TuningRecord, target: str = "python_exec") -> Se
     Parses the record's human-readable ``workload_key`` (the only workload
     identity a record stores besides the fingerprint), including the
     ``/m<modulus_bits>`` suffix of a non-default modulus; raises
-    :class:`ServingError` for keys this version cannot parse.
+    :class:`ServingError` for keys this version cannot parse and for keys
+    that name no servable workload (an unknown operation, a modulus
+    without Barrett headroom), so the caller reports one bad record and
+    goes on.
     """
     match = _NTT_KEY.match(record.workload_key)
     if match is not None:
@@ -67,7 +70,7 @@ def request_from_record(record: TuningRecord, target: str = "python_exec") -> Se
             )
         shape = {"kind": BLAS, "elements": int(match.group("elements"))}
     modulus = match.group("modulus")
-    return ServeRequest(
+    request = ServeRequest(
         bits=int(match.group("bits")),
         operation=match.group("op"),
         modulus_bits=int(modulus) if modulus is not None else None,
@@ -75,6 +78,14 @@ def request_from_record(record: TuningRecord, target: str = "python_exec") -> Se
         target=target,
         **shape,
     )
+    try:
+        request.workload().default_config()
+    except (KernelError, TuningError) as error:
+        raise ServingError(
+            f"workload key {record.workload_key!r} from the tuning database "
+            f"names no servable workload: {error}"
+        ) from None
+    return request
 
 
 def classify_record(

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
-from repro.loadgen.cli import _connect_addresses, build_parser, main
+from repro.loadgen.cli import build_parser, main
+from repro.serve.cli import build_parser as build_serve_parser
+from repro.serve.cli import shard_layout
 
 
 class TestParser:
@@ -25,7 +27,26 @@ class TestParser:
         args = build_parser().parse_args(
             ["--connect", "a:1,b:2", "--connect", "c:3"]
         )
-        assert _connect_addresses(args) == ("a:1", "b:2", "c:3")
+        assert shard_layout(args) == (0, ("a:1", "b:2", "c:3"))
+
+    @pytest.mark.parametrize(
+        "parser", [build_parser, build_serve_parser], ids=["loadgen", "serve"]
+    )
+    def test_both_clis_read_one_ring_layout(self, parser):
+        def layout(argv):
+            return shard_layout(parser().parse_args(argv))
+
+        assert layout([]) == (1, ())
+        assert layout(["--connect", "a:1"]) == (0, ("a:1",))
+        assert layout(["--shards", "2", "--connect", "a:1"]) == (2, ("a:1",))
+        with pytest.raises(ValueError, match="shard count"):
+            layout(["--shards", "0"])
+
+    def test_trust_option_is_gone(self, capsys):
+        # A TCP link is source-only with no option to change it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--connect", "a:1", "--trust", "pickled"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_list_suites_exits_cleanly(self, capsys):
         assert main(["--list-suites"]) == 0

@@ -275,7 +275,6 @@ class TestHandshakeMessages:
             request_id=1,
             protocol_version=protocol.PROTOCOL_VERSION,
             shard_id=3,
-            trust=protocol.TRUST_SOURCE,
         )
         assert round_trip(message) == message
 
@@ -285,30 +284,21 @@ class TestHandshakeMessages:
             shard_id=3,
             pid=4242,
             protocol_version=protocol.PROTOCOL_VERSION,
-            trust=protocol.TRUST_PICKLED,
         )
         assert round_trip(message) == message
 
-    def test_unknown_trust_level_rejected(self):
-        message = protocol.HelloCall(
+    def test_a_trust_claim_in_a_hello_reply_grants_nothing(self):
+        # What a link carries follows from how it was opened; a peer that
+        # still names a trust level in its reply changes nothing.
+        message = protocol.HelloReply(
             request_id=1,
+            shard_id=3,
+            pid=4242,
             protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust="blindly",
         )
-        with pytest.raises(ProtocolError, match="trust level"):
-            round_trip(message)
-
-    def test_negotiate_trust_grants_the_weaker_side(self):
-        pickled, source = protocol.TRUST_PICKLED, protocol.TRUST_SOURCE
-        assert protocol.negotiate_trust(pickled, pickled) == pickled
-        assert protocol.negotiate_trust(pickled, source) == source
-        assert protocol.negotiate_trust(source, pickled) == source
-        assert protocol.negotiate_trust(source, source) == source
-
-    def test_negotiate_trust_rejects_unknown_levels(self):
-        with pytest.raises(ProtocolError, match="trust level"):
-            protocol.negotiate_trust("root", protocol.TRUST_SOURCE)
+        head, tail = split_container(protocol.encode_message(message))
+        head["payload"]["trust"] = "pickled"
+        assert protocol.decode_message(join_container(head, tail)) == message
 
     def test_source_only_result_downgrades_kernels(self, served):
         downgraded = protocol.source_only_result(served)

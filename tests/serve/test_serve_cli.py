@@ -3,7 +3,9 @@
 import dataclasses
 import json
 
-from repro.serve.cli import main
+import pytest
+
+from repro.serve.cli import build_parser, main
 from repro.tune import TuningDatabase
 
 NTT_ARGS = ["--once", "ntt", "--bits", "128", "--size", "16"]
@@ -157,6 +159,13 @@ class TestTcpFlags:
         captured = capsys.readouterr()
         assert "cannot read tuning database" in captured.err
         assert "listening on" not in captured.out
+
+    @pytest.mark.parametrize("option", [["--trust", "pickled"], ["--pool", "1"]])
+    def test_trust_and_pool_options_are_gone(self, option, capsys):
+        # One source-only link per TCP shard, with nothing to configure.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--connect", "a:1", *option])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_connect_to_unreachable_shard_fails_cleanly(self, capsys):
         # A dead remote must surface as a CLI error, not a traceback.

@@ -75,6 +75,16 @@ class TestColdAndWarmServing:
         server.serve(_request(target="cuda"))
         assert server.resident_count == 3
 
+    def test_the_default_modulus_named_explicitly_is_one_entry(self, server):
+        # modulus_bits=None and bits - 4 name one kernel; any other modulus
+        # is a kernel of its own.
+        explicit = _request(modulus_bits=BITS - 4)
+        assert explicit.key() == _request().key()
+        assert _request(modulus_bits=100).key() != _request().key()
+        server.serve(_request())
+        assert server.serve(explicit).warm
+        assert server.resident_count == 1
+
     def test_pinned_request_skips_tuning(self, server):
         result = server.serve(
             _request(tune=False, multiplication="karatsuba", word_bits=32)

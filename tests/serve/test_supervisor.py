@@ -94,7 +94,7 @@ class TestRoutedServing:
         supervisor, _, _ = cluster
         for handle in supervisor._handles.values():
             assert isinstance(handle.connection, protocol.StreamConnection)
-            assert handle.trusted is True
+            assert handle.allow_pickled is True
             assert handle.address is None and handle.process.is_alive()
 
 
@@ -217,8 +217,8 @@ class TestRobustness:
             assert set(supervisor.ping()) == {0}
 
     def test_spawned_shard_never_unpickles_what_it_receives(self, tmp_path):
-        # The spawned shard's link has pickled trust, which governs only
-        # what the shard sends: a pickled artifact sent *to* it is refused
+        # The spawned shard's socketpair carries executable kernels only
+        # from the shard: a pickled artifact sent *to* it is refused
         # unopened, and the uncorrelated error reply makes the supervisor
         # restore the shard.
         from tests.serve.test_tcp_transport import pickled_result_frame

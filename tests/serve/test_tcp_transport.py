@@ -2,12 +2,11 @@
 
 The acceptance properties of the network transport live here: a supervisor
 serves requests through ≥2 shards over TCP, the handshake pins the protocol
-version and negotiates trust (source-only by default — pickled artifacts
-are rejected on untrusted transports while source text round-trips), a
-shard never unpickles what it receives, killing a remote shard's connection
-re-routes its keys to ring successors without hanging in-flight futures,
-and a listener survives a supervisor disconnect (re-accept) and a bad
-handshake.
+version, a TCP link carries source text only (source round-trips, and a
+pickled artifact from a listener is refused unopened), a shard never
+unpickles what it receives, killing a remote shard's connection re-routes
+its keys to ring successors without hanging in-flight futures, and a
+listener survives a supervisor disconnect (re-accept) and a bad handshake.
 
 TCP shards run as in-process listener threads (each owns a real
 ``KernelServer``): the bytes cross real sockets exactly as they would
@@ -24,7 +23,8 @@ import time
 
 import pytest
 
-from repro.errors import ReproError, ServingError
+from repro.core.codegen.python_exec import CompiledKernel
+from repro.errors import ProtocolError, ReproError, ServingError
 from repro.serve import ServeRequest, ShardSupervisor, serve_shard_tcp
 from repro.serve import protocol
 
@@ -42,7 +42,7 @@ FAMILY_MIX = [
 ]
 
 
-def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
+def start_listener(shard_id=0, workers=2):
     """One TCP shard in a daemon thread; returns (address, thread)."""
     bound: queue.Queue = queue.Queue()
     thread = threading.Thread(
@@ -52,7 +52,6 @@ def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
             port=0,
             shard_id=shard_id,
             workers=workers,
-            trust=trust,
             on_bound=bound.put,
         ),
         daemon=True,
@@ -61,7 +60,7 @@ def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
     return bound.get(timeout=30), thread
 
 
-def hello(connection, trust=protocol.TRUST_SOURCE, shard_id=-1):
+def hello(connection, shard_id=-1):
     """Open a raw session the way a supervisor does; returns the reply."""
     connection.send_bytes(
         protocol.encode_message(
@@ -69,7 +68,6 @@ def hello(connection, trust=protocol.TRUST_SOURCE, shard_id=-1):
                 request_id=1,
                 protocol_version=protocol.PROTOCOL_VERSION,
                 shard_id=shard_id,
-                trust=trust,
             )
         )
     )
@@ -126,8 +124,8 @@ class TestServingOverTcp:
         assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
 
     def test_source_only_artifacts_round_trip(self, tcp_cluster):
-        # The cross-machine default: executable kernels arrive as their
-        # generated source text, never as pickles.
+        # A TCP link carries source text only: executable kernels arrive as
+        # their generated source, never as pickles.
         _, results = tcp_cluster
         for result in results:
             assert isinstance(result.artifact, str)
@@ -155,94 +153,16 @@ class TestServingOverTcp:
         with pytest.raises(ReproError):
             supervisor.serve(bad)
 
-    def test_every_remote_shard_keeps_a_link_pool(self, tcp_cluster):
+    def test_every_remote_shard_holds_one_source_only_link(self, tcp_cluster):
         supervisor, _ = tcp_cluster
         for handle in supervisor._handles.values():
-            assert len(handle.links) == 2  # the default pool
+            assert handle.address is not None and handle.process is None
+            assert handle.allow_pickled is False
+            assert isinstance(handle.connection, protocol.StreamConnection)
         assert supervisor.wire_snapshot().messages_sent >= len(FAMILY_MIX)
 
 
 class TestHandshake:
-    def test_handshake_grants_at_most_listener_policy(self):
-        # A source-only listener must downgrade a pickled request to source.
-        address, thread = start_listener(trust=protocol.TRUST_SOURCE)
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                remote_trust=protocol.TRUST_PICKLED,
-            )
-            try:
-                result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-                assert isinstance(result.artifact, str)
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_pickled_trust_ships_executable_artifacts(self):
-        # Both ends opting in: the artifact crosses as an executable kernel.
-        address, thread = start_listener(trust=protocol.TRUST_PICKLED)
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                remote_trust=protocol.TRUST_PICKLED,
-            )
-            try:
-                result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-                limbs = tuple(range(len(result.artifact.kernel.params)))
-                assert isinstance(result.artifact.call_limbs(*limbs), tuple)
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_listener_cannot_escalate_granted_trust(self):
-        # A malicious listener "granting" pickled on a source-only request
-        # must not flip the supervisor into unpickling its payloads: the
-        # granted trust is capped at what the supervisor asked for.
-        bound: queue.Queue = queue.Queue()
-
-        def lying_listener():
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
-                listener.bind(("127.0.0.1", 0))
-                listener.listen(1)
-                bound.put(listener.getsockname()[:2])
-                sock, _ = listener.accept()
-                connection = protocol.StreamConnection(sock)
-                call = protocol.decode_message(connection.recv_bytes())
-                connection.send_bytes(
-                    protocol.encode_message(
-                        protocol.HelloReply(
-                            request_id=call.request_id,
-                            shard_id=call.shard_id,
-                            pid=1,
-                            protocol_version=protocol.PROTOCOL_VERSION,
-                            trust=protocol.TRUST_PICKLED,  # the lie
-                        )
-                    )
-                )
-                time.sleep(1.0)  # keep the connection up for the assertion
-                connection.close()
-
-        thread = threading.Thread(target=lying_listener, daemon=True)
-        thread.start()
-        supervisor = ShardSupervisor(
-            shards=0,
-            devices=("rtx4090",),
-            connect=(bound.get(timeout=30),),
-            remote_trust=protocol.TRUST_SOURCE,
-            restart=False,
-        )
-        try:
-            assert supervisor._handles[0].trusted is False
-        finally:
-            supervisor.close()
-            thread.join(timeout=30)
-
     def test_version_mismatch_is_refused(self):
         address, thread = start_listener()
         try:
@@ -255,7 +175,6 @@ class TestHandshake:
                             request_id=1,
                             protocol_version=protocol.PROTOCOL_VERSION + 1,
                             shard_id=0,
-                            trust=protocol.TRUST_SOURCE,
                         )
                     )
                 )
@@ -385,10 +304,10 @@ class _OpensAFile:
         return (open, (self.path, "w"))
 
 
-def pickled_result_frame(marker) -> bytes:
+def pickled_result_frame(marker, request_id=5) -> bytes:
     """A ``result`` message whose artifact is a pickle creating ``marker``."""
     payload = {
-        "request_id": 5,
+        "request_id": request_id,
         "result": {
             "request": dataclasses.asdict(ServeRequest(kind="ntt", bits=64, size=SIZE)),
             "artifact": {"encoding": "pickled_kernel", "frame": 0},
@@ -407,21 +326,109 @@ def pickled_result_frame(marker) -> bytes:
     )
 
 
-class TestShardNeverUnpickles:
-    def test_pickled_artifact_sent_to_a_shard_is_refused_unopened(self, tmp_path):
-        # Trust governs only what a shard sends.  Even on a link granted
-        # pickled trust, a result frame whose artifact is a pickle must be
-        # refused before anything is unpickled.
-        marker = tmp_path / "unpickled"
-        frame = pickled_result_frame(marker)
-        address, thread = start_listener(trust=protocol.TRUST_PICKLED)
+class TestTcpLinkIsSourceOnly:
+    def test_a_listener_replies_with_source_text(self):
+        # The listener downgrades every result before it is sent, whoever
+        # dialled it: the reply's artifact frame is source text.
+        address, thread = start_listener()
         try:
             connection = protocol.StreamConnection(
                 socket.create_connection(address, timeout=5)
             )
             try:
-                granted = hello(connection, trust=protocol.TRUST_PICKLED, shard_id=0)
-                assert granted.trust == protocol.TRUST_PICKLED
+                hello(connection, shard_id=0)
+                connection.send_bytes(
+                    protocol.encode_message(
+                        protocol.ServeCall(
+                            request_id=2,
+                            request=ServeRequest(kind="ntt", bits=64, size=SIZE),
+                        )
+                    )
+                )
+                data = connection.recv_bytes()
+            finally:
+                connection.close()
+        finally:
+            shut_down_listener(address, thread)
+        offset = len(protocol.FRAME_MAGIC)
+        length = int.from_bytes(data[offset : offset + 4], "big")
+        head = json.loads(data[offset + 4 : offset + 4 + length])
+        artifact = head["payload"]["result"]["artifact"]
+        assert artifact["encoding"] == protocol.SOURCE_ENCODING
+        reply = protocol.decode_message(data)
+        assert isinstance(reply, protocol.ServeReply)
+        assert "def " in reply.result.artifact
+
+    def test_pickled_frame_from_a_listener_is_refused_unopened(self, tmp_path):
+        # A TCP link carries source text only, whatever the peer claims to
+        # be: a listener answering a serve call with a pickled kernel gets
+        # its link poisoned before anything is unpickled.
+        marker = tmp_path / "unpickled"
+        bound: queue.Queue = queue.Queue()
+
+        def rogue_listener():
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen(1)
+                bound.put(listener.getsockname()[:2])
+                sock, _ = listener.accept()
+                connection = protocol.StreamConnection(sock)
+                try:
+                    call = protocol.decode_message(connection.recv_bytes())
+                    connection.send_bytes(
+                        protocol.encode_message(
+                            protocol.HelloReply(
+                                request_id=call.request_id,
+                                shard_id=call.shard_id,
+                                pid=1,
+                                protocol_version=protocol.PROTOCOL_VERSION,
+                            )
+                        )
+                    )
+                    while True:
+                        message = protocol.decode_message(connection.recv_bytes())
+                        if isinstance(message, protocol.ServeCall):
+                            connection.send_bytes(
+                                pickled_result_frame(marker, message.request_id)
+                            )
+                except (EOFError, OSError, ProtocolError):
+                    pass  # the supervisor poisoned the link
+                finally:
+                    connection.close()
+
+        thread = threading.Thread(target=rogue_listener, daemon=True)
+        thread.start()
+        supervisor = ShardSupervisor(
+            shards=0,
+            devices=("rtx4090",),
+            connect=(bound.get(timeout=30),),
+            restart=False,
+        )
+        try:
+            with pytest.raises(ReproError):
+                supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
+            assert supervisor.router.shard_ids == ()
+        finally:
+            supervisor.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not marker.exists()
+
+
+class TestShardNeverUnpickles:
+    def test_pickled_artifact_sent_to_a_shard_is_refused_unopened(self, tmp_path):
+        # A shard decodes every frame with pickles refused: a result frame
+        # whose artifact is a pickle is refused before anything is
+        # unpickled.
+        marker = tmp_path / "unpickled"
+        frame = pickled_result_frame(marker)
+        address, thread = start_listener()
+        try:
+            connection = protocol.StreamConnection(
+                socket.create_connection(address, timeout=5)
+            )
+            try:
+                hello(connection, shard_id=0)
                 connection.send_bytes(frame)
                 reply = protocol.decode_message(connection.recv_bytes())
             finally:
@@ -481,16 +488,19 @@ class TestMixedRing:
             workers=2,
         )
         try:
+            artifacts = {}
             for request in FAMILY_MIX:
-                assert supervisor.serve(request).request == request
+                result = supervisor.serve(request)
+                assert result.request == request
+                artifacts[supervisor.router.route(request)] = result.artifact
             routed = supervisor.routed_counts()
             assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
             pongs = supervisor.ping()
             assert set(pongs) == {0, 1}
-            # The spawned shard's link is granted pickled trust while the
-            # TCP shard runs source-only: artifact types differ by link.
-            assert supervisor._handles[0].trusted is True
-            assert supervisor._handles[1].trusted is False
+            # The spawned shard's socketpair carries executable kernels
+            # while the TCP shard's link carries source text.
+            assert isinstance(artifacts[0], CompiledKernel)
+            assert isinstance(artifacts[1], str)
             stats = supervisor.stats()
             assert len(stats.shards) == 2
         finally:

@@ -55,6 +55,18 @@ class TestWarmServer:
             assert server.resident_count == 2
             assert all(server.serve(request).warm for request in requests)
 
+    def test_the_default_modulus_named_explicitly_is_warm(self, tmp_path):
+        # modulus_bits=None and bits - 4 name one kernel: warm-up rebuilds
+        # the record with None, and the explicit request must hit it.
+        path = tmp_path / "db.json"
+        request = ServeRequest(kind="ntt", bits=BITS, size=SIZE, modulus_bits=BITS - 4)
+        _populate(path, [request])
+
+        with KernelServer(db=TuningDatabase(path), devices=("rtx4090",)) as server:
+            assert server.warm().warmed == 1
+            assert server.serve(request).warm
+            assert server.resident_count == 1
+
     def test_other_device_records_are_skipped(self, tmp_path):
         path = tmp_path / "db.json"
         _populate(path, [ServeRequest(kind="ntt", bits=BITS, size=SIZE, device="h100")])
@@ -115,3 +127,30 @@ class TestRecordParsing:
         broken = dataclasses.replace(record, workload_key="fft/strange/x1")
         with pytest.raises(ServingError):
             request_from_record(broken)
+
+
+class TestBadRecords:
+    @pytest.mark.parametrize(
+        "workload_key", ["ntt/bogus/n16/128b", "ntt/cooley_tukey/n16/128b/m200"]
+    )
+    def test_a_key_naming_no_workload_is_one_bad_record(self, tmp_path, workload_key):
+        # A hand-edited key the tuner refuses (an unknown operation, a
+        # modulus without headroom) is reported, and both passes go on.
+        path = tmp_path / "db.json"
+        request = ServeRequest(kind="ntt", bits=BITS, size=SIZE)
+        _populate(path, [request])
+        db = TuningDatabase(path)
+        [good] = db.records().values()
+        db.store(dataclasses.replace(good, workload_key=workload_key, fingerprint="0" * 16))
+
+        with KernelServer(db=TuningDatabase(path), devices=("rtx4090",)) as server:
+            warmup = server.warm()
+            statuses = {entry.workload_key: entry.status for entry in warmup.entries}
+            assert statuses == {good.workload_key: "warmed", workload_key: "error"}
+            report = server.invalidate(refresh=True)
+            stale = [(entry.record.workload_key, entry.reason) for entry in report.stale]
+            assert stale == [(workload_key, "unparsable")]
+            assert (report.dropped_records, report.refreshed) == (1, ())
+            assert server.serve(request).warm
+        kept = [record.workload_key for record in TuningDatabase(path).records().values()]
+        assert kept == [good.workload_key]
